@@ -10,12 +10,20 @@ must sustain at least 50x the aggregate events/s of the scalar sealed
 kernel on this fabric.  ``check_regression.py`` re-derives the same floor
 from the benchmark JSON (``extra_info["events"]`` / median), so the gate
 also holds across the committed baseline.
+
+That floor is a property of the analytic path.  Stateful circuits take
+the masked-SoA event loop instead, so the second half of this file
+times one of them, the serving DPU (bits=5, L=8, bipolar), on both
+executors at 1 lane and at 64 lanes, and asserts in-test which one wins
+on each side of ``repro.core.dpu.BATCH_CROSSOVER_LANES``.
 """
 
 from time import perf_counter
 
 import numpy as np
+import pytest
 
+from dpu_crossover import SEED, operand_rows, run_batch, run_sealed, serve_dpu
 from repro.pulsesim import BatchSimulator, Simulator
 from repro.pulsesim.schedule import uniform_stream_times_batch
 from test_microbench_kernels import _FABRIC_LANES, _build_stream_fabric
@@ -123,3 +131,60 @@ def test_batch_speedup_floor_at_1024_lanes():
         f"events/s at batch={_BATCH} (floor {_SPEEDUP_FLOOR}x)"
     )
     assert _FABRIC_LANES == len(_build_stream_fabric()[1])
+
+
+# -- the stateful pair: the serving DPU on both executors -----------------------
+# Named off the *_batch_kernel / *_sealed_kernel pattern on purpose: the
+# 50x events/s floor above is a stream-fabric property, not a DPU one.
+_DPU_LANES = (1, 64)
+
+
+def _bench_dpu(benchmark, lanes, run):
+    unit = serve_dpu()
+    a_rows, b_rows = operand_rows(unit, lanes, SEED)
+    expected = run_sealed(unit, a_rows, b_rows)
+    run(unit, a_rows, b_rows)  # untimed: compiles the batch program
+    assert benchmark(run, unit, a_rows, b_rows) == expected
+    benchmark.extra_info["lanes"] = lanes
+
+
+@pytest.mark.parametrize("lanes", _DPU_LANES)
+def test_dpu_serve_config_batch_dispatch(benchmark, lanes):
+    """All rows as lanes of one masked-SoA batch dispatch."""
+    _bench_dpu(benchmark, lanes, run_batch)
+
+
+@pytest.mark.parametrize("lanes", _DPU_LANES)
+def test_dpu_serve_config_sealed_runs(benchmark, lanes):
+    """The same rows as sequential sealed ``run_counts`` calls."""
+    _bench_dpu(benchmark, lanes, run_sealed)
+
+
+def _best_of_3(run, *args):
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        run(*args)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def test_dpu_executor_wins_on_each_side_of_the_crossover():
+    """Sealed beats batch at 1 lane; batch beats sealed at 64 lanes."""
+    unit = serve_dpu()
+    for lanes, winner in ((1, "sealed"), (64, "batch")):
+        a_rows, b_rows = operand_rows(unit, lanes, SEED)
+        run_batch(unit, a_rows, b_rows)  # compile outside the timings
+        best = {
+            "sealed": _best_of_3(run_sealed, unit, a_rows, b_rows),
+            "batch": _best_of_3(run_batch, unit, a_rows, b_rows),
+        }
+        print(
+            f"\nDPU {lanes} lane(s): sealed {best['sealed'] * 1e3:.1f} ms, "
+            f"batch {best['batch'] * 1e3:.1f} ms"
+        )
+        loser = "batch" if winner == "sealed" else "sealed"
+        assert best[winner] < best[loser], (
+            f"at {lanes} lane(s) {winner} took {best[winner] * 1e3:.1f} ms, "
+            f"{loser} {best[loser] * 1e3:.1f} ms"
+        )

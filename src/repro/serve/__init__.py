@@ -5,9 +5,11 @@ the DPU costs the same whether one or sixty-four dot products ride on it,
 because lanes share the event stream.  This package is the software
 restatement of that claim.  A long-running asyncio service accepts
 dot-product / FIR / PE requests over HTTP/JSON, and a **micro-batching
-queue** coalesces concurrent requests onto lanes of a single
-:class:`repro.pulsesim.batch.BatchSimulator` dispatch — so the serving
-throughput curve reproduces the kernel-level coalescing curve.
+queue** coalesces concurrent requests into one
+:meth:`repro.core.dpu.DotProductUnit.run_counts_batch` group, which runs
+on the executor measured fastest for its size: per-row sealed runs for
+small groups, lanes of one :class:`repro.pulsesim.batch.BatchSimulator`
+dispatch from ``repro.core.dpu.BATCH_CROSSOVER_LANES`` lanes on.
 
 Layers (each importable and testable without the one above):
 

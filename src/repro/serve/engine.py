@@ -6,10 +6,12 @@ working set bounded) and every subsequent request for that config reuses
 the sealed netlist — the serving layer's whole latency story depends on
 never re-compiling on the hot path.
 
-``dpu.dot`` executes *groups*: N requests become N lanes of one
-:meth:`repro.core.dpu.DotProductUnit.run_counts_batch` dispatch, whose
-lanes are bit-identical to per-request scalar runs (the differential
-tests in ``tests/serve`` and the verify oracle hold this line).  Model
+``dpu.dot`` executes *groups*: N requests become one
+:meth:`repro.core.dpu.DotProductUnit.run_counts_batch` call, which runs
+small groups as per-request sealed runs and groups of at least
+``BATCH_CROSSOVER_LANES`` as N lanes of one batch-kernel dispatch; both
+are bit-identical to per-request scalar runs (the differential tests in
+``tests/serve`` and the verify oracle hold this line).  Model
 ops (``fir.*``, ``pe.*``) evaluate per request — they are closed-form
 and cost microseconds, so lanes would buy nothing.
 
@@ -85,8 +87,9 @@ class ComputeEngine:
         """Run every request of one batch group; results in request order.
 
         All requests in a group share ``op`` and ``config`` (that is what
-        a batch key means).  For ``dpu.dot`` the group is one coalesced
-        batch-kernel dispatch; for model ops the group always has one
+        a batch key means).  For ``dpu.dot`` the group is one
+        ``run_counts_batch`` call, which picks the sealed or the batch
+        kernel by group size; for model ops the group always has one
         entry and evaluates directly.
         """
         if not operands_list:

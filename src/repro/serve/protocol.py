@@ -10,10 +10,10 @@ lanes.
 Two derived keys drive the serving machinery:
 
 * :meth:`Request.batch_key` — requests with equal batch keys execute as
-  lanes of **one** batch-kernel dispatch.  For ``dpu.dot`` that is the
-  canonical config (same circuit, any operands); model-evaluated ops
-  (``fir.*``, ``pe.*``) are cheap enough that each request is its own
-  group of one.
+  **one** group (one ``DotProductUnit.run_counts_batch`` call).  For
+  ``dpu.dot`` that is the canonical config (same circuit, any
+  operands); model-evaluated ops (``fir.*``, ``pe.*``) are cheap enough
+  that each request is its own group of one.
 * :meth:`Request.cache_key` — content address of the response: the
   source-tree digest crossed with the canonical JSON of ``op`` +
   ``config`` + operands.  ``deadline_ms`` is *excluded*: how long a
@@ -30,7 +30,7 @@ from repro.errors import ReproError
 
 #: Validation ceilings: generous for experiments, small enough that one
 #: request cannot monopolise the service.
-MAX_LENGTH = 64  #: DPU lanes per request
+MAX_LENGTH = 64  #: DPU lanes per request (a power of two >= 2)
 MAX_BITS = 10  #: epoch resolution (n_max = 1024)
 MAX_SAMPLES = 4096  #: FIR sample-stream length
 MAX_TAPS = 64  #: FIR coefficient count
@@ -152,7 +152,12 @@ def _parse_dpu_dot(payload: Dict[str, Any]) -> Request:
     config_in = payload.get("config")
     _require(isinstance(config_in, dict), "'config' must be an object")
     bits, slot_fs = _parse_epoch_config(config_in)
-    length = _get_int(config_in, "length", 1, MAX_LENGTH)
+    length = _get_int(config_in, "length", 2, MAX_LENGTH)
+    # The counting network is a balanced binary tree of balancers.
+    _require(
+        length & (length - 1) == 0,
+        f"'length' must be a power of two, got {length}",
+    )
     bipolar = _get_bool(config_in, "bipolar", False)
     n_max = 1 << bits
     # a operands are race-logic slots (n_max == "no pulse"), b operands

@@ -4,15 +4,17 @@ Acceptance property from the issue: a coalesced batch of N distinct
 requests must produce responses **byte-identical** to N sequential
 single-request runs.  Three independent witnesses:
 
-* a coalescing server (max_batch high, wide window) under concurrent load,
-* a non-coalescing server (max_batch=1) taking the same requests serially,
+* a coalescing server under concurrent load, whose group reaches
+  ``BATCH_CROSSOVER_LANES`` lanes and so runs on the batch kernel,
+* a non-coalescing server (max_batch=1) taking the same requests
+  serially, each a one-row group on the sealed kernel,
 * direct scalar ``DotProductUnit.run_counts`` ground truth.
 """
 
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.dpu import DotProductUnit
+from repro.core.dpu import BATCH_CROSSOVER_LANES, DotProductUnit
 from repro.encoding.epoch import EpochSpec
 from repro.serve import ServeConfig, start_server_thread
 
@@ -35,12 +37,17 @@ def _requests(count, seed=20220711):
 
 
 def test_coalesced_batch_is_byte_identical_to_sequential_singles():
-    requests = _requests(12)
+    requests = _requests(BATCH_CROSSOVER_LANES)
 
     # Witness 1: concurrent clients against a coalescing server.  The
-    # cache is disabled so every request truly executes.
+    # cache is disabled so every request truly executes; the wide window
+    # is only a backstop, the size flush fires once every request is in.
     coalescing = ServeConfig(
-        port=0, max_batch=16, max_wait_us=50_000, workers=0, cache_entries=0
+        port=0,
+        max_batch=len(requests),
+        max_wait_us=5_000_000,
+        workers=0,
+        cache_entries=0,
     )
     with start_server_thread(coalescing) as server:
         with ThreadPoolExecutor(len(requests)) as pool:
@@ -53,9 +60,10 @@ def test_coalesced_batch_is_byte_identical_to_sequential_singles():
                 )
             )
         snapshot = server.service.metrics.to_dict()
-    # The point of the wide window: the 12 requests really did coalesce.
-    assert snapshot["counters"]["serve_batches_total"] < len(requests)
-    assert snapshot["histograms"]["serve_batch_lanes"]["max"] > 1
+    # All requests coalesced into one group large enough for the batch
+    # kernel.
+    assert snapshot["counters"]["serve_batches_total"] == 1
+    assert snapshot["histograms"]["serve_batch_lanes"]["max"] == len(requests)
 
     # Witness 2: the same requests, one at a time, on a max_batch=1 server.
     solo = ServeConfig(

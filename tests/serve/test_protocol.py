@@ -95,11 +95,30 @@ def test_key_material_is_canonical_json():
         {"deadline_ms": 0},
         {"deadline_ms": -5},
         {"deadline_ms": "soon"},
+        # DotProductUnit needs a power-of-two length >= 2.
+        {"config": {"bits": 4, "slot_fs": 40_000, "length": 1},
+         "a_slots": [1], "b_counts": [1]},
+        {"config": {"bits": 4, "slot_fs": 40_000, "length": 3},
+         "a_slots": [1, 2, 3], "b_counts": [1, 2, 3]},
+        {"config": {"bits": 4, "slot_fs": 40_000, "length": 48},
+         "a_slots": [1] * 48, "b_counts": [1] * 48},
     ],
 )
 def test_dpu_dot_rejects_malformed_payloads(mutation):
     with pytest.raises(ProtocolError):
         parse_request(_dpu_payload(**mutation))
+
+
+@pytest.mark.parametrize("length", [2, 4, 8, 16, 32, MAX_LENGTH])
+def test_dpu_dot_accepts_every_power_of_two_length(length):
+    request = parse_request(
+        _dpu_payload(
+            config={"bits": 4, "slot_fs": 40_000, "length": length},
+            a_slots=[1] * length,
+            b_counts=[2] * length,
+        )
+    )
+    assert request.config["length"] == length
 
 
 def test_rejects_non_object_bodies_and_unknown_ops():

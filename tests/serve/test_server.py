@@ -44,6 +44,39 @@ def test_handle_maps_malformed_input_to_400():
     assert asyncio.run(main()) == (400, 400, 400)
 
 
+@pytest.mark.parametrize("workers", [0, 1])
+def test_dpu_length_that_is_no_power_of_two_is_a_protocol_error(workers):
+    """A DPU needs a power-of-two length >= 2; anything else is rejected
+    at parse time on both tiers (never a worker-side 500)."""
+
+    async def main():
+        service = ServeService(ServeConfig(port=0, workers=workers))
+        try:
+            replies = []
+            for length in (3, 1):
+                payload = dict(
+                    _DPU,
+                    config=dict(_DPU["config"], length=length),
+                    a_slots=[1] * length,
+                    b_counts=[3] * length,
+                )
+                replies.append(
+                    await service.handle("POST", "/v1/compute", _body(payload))
+                )
+            return replies, service.metrics.to_dict()["counters"]
+        finally:
+            service.close()
+
+    replies, counters = asyncio.run(main())
+    assert [reply[0] for reply in replies] == [400, 400]
+    for reply in replies:
+        assert b"'length'" in reply[2]
+        assert b"Traceback" not in reply[2]
+    assert counters["serve_protocol_errors_total"] == 2
+    assert counters.get("serve_execution_errors_total", 0) == 0
+    assert counters.get("serve_batches_total", 0) == 0
+
+
 def test_unknown_route_and_wrong_method():
     async def main():
         service = ServeService(ServeConfig(port=0, workers=0))
