@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.analyze.api import Analysis
-from repro.analyze.blocks import (
-    SHIPPED_BLOCKS,
-    analyze_shipped_block,
+from repro.analyze.blocks import analyze_shipped_block
+from repro.cli import (
+    add_block_targets,
+    add_fail_on,
+    gate_status,
+    run,
+    selected_blocks,
+    write_output,
 )
-from repro.lint.report import Severity
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -42,22 +44,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "envelopes."
         ),
     )
-    parser.add_argument(
-        "blocks",
-        nargs="*",
-        metavar="BLOCK",
-        help="shipped block names to analyze (see --list-blocks)",
-    )
-    parser.add_argument(
-        "--all-blocks",
-        action="store_true",
-        help="analyze every shipped structural block",
-    )
-    parser.add_argument(
-        "--list-blocks",
-        action="store_true",
-        help="list analyzable block names",
-    )
+    add_block_targets(parser, "analyze")
     parser.add_argument(
         "--json", action="store_true",
         help="emit one JSON document instead of text",
@@ -77,29 +64,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help="write the JSON document to PATH instead of stdout",
     )
-    parser.add_argument(
-        "--fail-on",
-        default="error",
-        choices=["info", "warning", "error", "never"],
-        help="lowest severity that makes the exit code non-zero "
-             "(default: error)",
-    )
-    args = parser.parse_args(argv)
+    add_fail_on(parser)
+    return run(parser, argv, lambda args: _analyze(parser, args))
 
-    if args.list_blocks:
-        for entry in SHIPPED_BLOCKS.values():
-            print(f"{entry.name:20s} {entry.description}")
-        return 0
 
-    names = list(SHIPPED_BLOCKS) if args.all_blocks else args.blocks
-    if not names:
-        parser.error("nothing to analyze: pass block names or --all-blocks")
-    unknown = [name for name in names if name not in SHIPPED_BLOCKS]
-    if unknown:
-        parser.error(
-            f"unknown block(s) {', '.join(unknown)}; see --list-blocks"
-        )
-
+def _analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    names = selected_blocks(parser, args, "analyze")
     analyses: List[Analysis] = [analyze_shipped_block(name) for name in names]
 
     if args.json or args.output:
@@ -115,9 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         text = json.dumps(document, indent=2)
         if args.output:
-            path = Path(args.output)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text + "\n")
+            write_output(args.output, text + "\n")
         else:
             print(text)
     else:
@@ -130,12 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{sum(c['error'] for c in counts)} error(s), "
             f"{sum(c['warning'] for c in counts)} warning(s)"
         )
-
-    if args.fail_on == "never":
-        return 0
-    level = Severity.parse(args.fail_on)
-    return 1 if any(a.report.fails_at(level) for a in analyses) else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return gate_status(
+        args.fail_on, (f.severity for a in analyses for f in a.report.findings)
+    )

@@ -79,10 +79,6 @@ class AnalysisReport:
             tally[finding.severity.name.lower()] += 1
         return tally
 
-    def fails_at(self, threshold: Severity) -> bool:
-        """Whether any live finding is at or above ``threshold``."""
-        return any(f.severity >= threshold for f in self.findings)
-
     def format_text(self, verbose: bool = False) -> str:
         lines = [f"== {self.target} =="]
         for finding in self.findings:

@@ -10,7 +10,7 @@ grows linearly with M (Fig 5c).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cells.interconnect import Merger
 from repro.errors import ConfigurationError
@@ -86,9 +86,8 @@ def build_merger_tree(circuit: Circuit, name: str, m_inputs: int) -> Block:
 class MergerAdder:
     """Convenience wrapper: an M:1 merger tree with drive/measure helpers."""
 
-    def __init__(self, m_inputs: int, kernel: Optional[str] = None):
+    def __init__(self, m_inputs: int):
         self.m_inputs = _check_m(m_inputs)
-        self.kernel = kernel
         self.circuit = Circuit(f"merger_{m_inputs}to1")
         self.block = build_merger_tree(self.circuit, "ma", m_inputs)
         self.output = self.block.probe_output("y")
@@ -116,7 +115,7 @@ class MergerAdder:
         offsets = (
             staggered_offsets(self.m_inputs) if stagger else [0] * self.m_inputs
         )
-        sim = Simulator(self.circuit, kernel=self.kernel)
+        sim = Simulator(self.circuit)
         sim.reset()
         for index, times in enumerate(input_times):
             self.block.drive(sim, f"a{index}", [t + offsets[index] for t in times])

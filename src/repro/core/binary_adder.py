@@ -21,7 +21,7 @@ grows linearly with width, as the bit-parallel entries of Table 2 do.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.cells.clocked import ClockedAnd, ClockedOr, ClockedXor
 from repro.cells.interconnect import Splitter
@@ -67,11 +67,10 @@ class RippleCarryAdder:
     probes.
     """
 
-    def __init__(self, bits: int, kernel: Optional[str] = None):
+    def __init__(self, bits: int):
         if not 1 <= bits <= 16:
             raise ConfigurationError(f"bits must be in [1, 16], got {bits}")
         self.bits = bits
-        self.kernel = kernel
         self.circuit = Circuit(f"binary_adder_{bits}")
         self.block = Block(self.circuit, "rca")
         self.slices: List[_BitSlice] = [
@@ -120,7 +119,7 @@ class RippleCarryAdder:
         if carry_in not in (0, 1):
             raise ConfigurationError(f"carry_in must be 0 or 1, got {carry_in}")
 
-        sim = Simulator(self.circuit, kernel=self.kernel)
+        sim = Simulator(self.circuit)
         sim.reset()
         for i, bit_slice in enumerate(self.slices):
             # Slices stagger by two phases so slice i's carry (clocked at

@@ -12,7 +12,7 @@ ceil-cascade count for ideally interleaved inputs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.balancer import BALANCER_JJ, Balancer
 from repro.errors import ConfigurationError
@@ -101,9 +101,8 @@ class CountingNetwork:
     tests and small structural experiments.
     """
 
-    def __init__(self, m_inputs: int, kernel: Optional[str] = None, trace=None):
+    def __init__(self, m_inputs: int, trace=None):
         self.m_inputs = _check_m(m_inputs)
-        self.kernel = kernel
         #: Optional :class:`repro.trace.TraceSession` passed to every
         #: simulator this wrapper builds (attach taps separately).
         self.trace = trace
@@ -124,7 +123,7 @@ class CountingNetwork:
             raise ConfigurationError(
                 f"expected {self.m_inputs} input trains, got {len(input_times)}"
             )
-        sim = Simulator(self.circuit, kernel=self.kernel, trace=self.trace)
+        sim = Simulator(self.circuit, trace=self.trace)
         sim.reset()
         for index, times in enumerate(input_times):
             self.block.drive(sim, f"a{index}", times)

@@ -14,7 +14,7 @@ semantics), vectorised for the FIR and the evaluation sweeps.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -113,13 +113,11 @@ class DotProductUnit:
         epoch: EpochSpec,
         length: int,
         bipolar: bool = False,
-        kernel: Optional[str] = None,
         trace=None,
     ):
         self.epoch = epoch
         self.length = _check_length(length)
         self.bipolar = bipolar
-        self.kernel = kernel
         #: Optional :class:`repro.trace.TraceSession` passed to every
         #: simulator this wrapper builds (attach taps separately).
         self.trace = trace
@@ -141,7 +139,7 @@ class DotProductUnit:
                 f"expected {self.length} operands per side, got "
                 f"{len(a_slots)}/{len(b_counts)}"
             )
-        sim = Simulator(self.circuit, kernel=self.kernel, trace=self.trace)
+        sim = Simulator(self.circuit, trace=self.trace)
         sim.reset()
         refclk = (
             self.streams.times_for_count(self.epoch.n_max) if self.bipolar else None
@@ -282,7 +280,7 @@ class DotProductUnit:
             )
         n_max = self.epoch.n_max
         duration = self.epoch.duration_fs
-        sim = Simulator(self.circuit, kernel=self.kernel, trace=self.trace)
+        sim = Simulator(self.circuit, trace=self.trace)
         sim.reset()
         for frame, (a_slots, b_counts) in enumerate(
             zip(a_slot_frames, b_count_frames)

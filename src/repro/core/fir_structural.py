@@ -22,7 +22,7 @@ agreement.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cells.interconnect import Splitter
 from repro.core.buffer import RlMemoryCell
@@ -53,7 +53,6 @@ class StructuralUnaryFir:
         self,
         epoch: EpochSpec,
         coefficient_words: Sequence[int],
-        kernel: Optional[str] = None,
     ):
         taps = len(coefficient_words)
         if taps < 2 or taps & (taps - 1) or taps > self.MAX_TAPS:
@@ -66,7 +65,6 @@ class StructuralUnaryFir:
             )
         self.epoch = epoch
         self.taps = taps
-        self.kernel = kernel
         self.bank = CoefficientBank(epoch, taps)
         self.bank.write_all(list(coefficient_words))
 
@@ -126,7 +124,7 @@ class StructuralUnaryFir:
                 raise ConfigurationError(
                     f"slots must be in [0, {n_max}], got {slot}"
                 )
-        sim = Simulator(self.circuit, kernel=self.kernel)
+        sim = Simulator(self.circuit)
         sim.reset()
         duration = self.epoch.duration_fs
         for index, slot in enumerate(slots):

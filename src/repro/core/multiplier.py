@@ -183,15 +183,13 @@ class UnipolarMultiplier:
     """A self-contained unipolar multiplier with encode/run/decode helpers.
 
     The netlist is fully built here, so the constructor seals it — every
-    ``run_counts`` reuses the compiled kernel tables.  ``kernel`` pins the
-    simulator kernel for this instance (default: resolve per run).
+    ``run_counts`` reuses the compiled kernel tables.
     """
 
     jj_count = MULTIPLIER_UNIPOLAR_JJ
 
-    def __init__(self, epoch: EpochSpec, kernel: Optional[str] = None, trace=None):
+    def __init__(self, epoch: EpochSpec, trace=None):
         self.epoch = epoch
-        self.kernel = kernel
         #: Optional :class:`repro.trace.TraceSession` passed to every
         #: simulator this wrapper builds (attach taps separately).
         self.trace = trace
@@ -204,7 +202,7 @@ class UnipolarMultiplier:
 
     def run_counts(self, n_a: int, slot_b: int) -> int:
         """Multiply a pulse count by an RL slot; returns the output count."""
-        sim = Simulator(self.circuit, kernel=self.kernel, trace=self.trace)
+        sim = Simulator(self.circuit, trace=self.trace)
         sim.reset()
         self.block.drive(sim, "epoch", 0)
         self.block.drive(
@@ -227,9 +225,8 @@ class BipolarMultiplier:
 
     jj_count = MULTIPLIER_BIPOLAR_JJ
 
-    def __init__(self, epoch: EpochSpec, kernel: Optional[str] = None, trace=None):
+    def __init__(self, epoch: EpochSpec, trace=None):
         self.epoch = epoch
-        self.kernel = kernel
         #: Optional :class:`repro.trace.TraceSession` passed to every
         #: simulator this wrapper builds (attach taps separately).
         self.trace = trace
@@ -242,7 +239,7 @@ class BipolarMultiplier:
 
     def run_counts(self, n_a: int, slot_b: int) -> int:
         """Multiply a stream count by an RL slot; returns the output count."""
-        sim = Simulator(self.circuit, kernel=self.kernel, trace=self.trace)
+        sim = Simulator(self.circuit, trace=self.trace)
         sim.reset()
         self.block.drive(sim, "epoch", 0)
         self.block.drive(

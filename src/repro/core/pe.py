@@ -17,7 +17,7 @@ of the 98-99 % area savings vs an 8-bit binary PE.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -79,9 +79,8 @@ class ProcessingElement:
 
     jj_count = PE_JJ
 
-    def __init__(self, epoch: EpochSpec, kernel: Optional[str] = None):
+    def __init__(self, epoch: EpochSpec):
         self.epoch = epoch
-        self.kernel = kernel
         self.streams = PulseStreamCodec(epoch)
         self.race = RaceLogicCodec(epoch)
         self.circuit = Circuit("processing_element")
@@ -92,7 +91,7 @@ class ProcessingElement:
     def run_mac(self, slot_in1: int, count_in2: int, count_in3: int) -> int:
         """One epoch of (In1 x In2 + In3) / 2; returns the output RL slot."""
         n_max = self.epoch.n_max
-        sim = Simulator(self.circuit, kernel=self.kernel)
+        sim = Simulator(self.circuit)
         sim.reset()
         self.block.drive(sim, "epoch_start", 0)
         self.block.drive(

@@ -172,16 +172,13 @@ class RaceLogicAlu:
 
     OPERATIONS = ("min", "max", "inhibit")
 
-    def __init__(
-        self, epoch: EpochSpec, operation: str, kernel: Optional[str] = None
-    ):
+    def __init__(self, epoch: EpochSpec, operation: str):
         if operation not in self.OPERATIONS:
             raise ConfigurationError(
                 f"operation must be one of {self.OPERATIONS}, got {operation!r}"
             )
         self.epoch = epoch
         self.operation = operation
-        self.kernel = kernel
         self.circuit = Circuit(f"rl_{operation}")
         if operation == "min":
             self.gate = self.circuit.add(FirstArrival("gate"))
@@ -202,7 +199,7 @@ class RaceLogicAlu:
         for slot in (slot_a, slot_b):
             if not 0 <= slot <= n_max:
                 raise ConfigurationError(f"slots must be in [0, {n_max}], got {slot}")
-        sim = Simulator(self.circuit, kernel=self.kernel)
+        sim = Simulator(self.circuit)
         sim.reset()
         if slot_a < n_max:
             sim.schedule_input(self.gate, "a", self.epoch.slot_time(slot_a))

@@ -17,15 +17,12 @@ re-runs near-instantly; any edit under ``src/repro`` recomputes.
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
-import sys
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
+from repro.cli import make_dir, run, write_output
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import format_result
-from repro.pulsesim.kernel import KERNEL_ENV, KERNELS
 from repro.runner import (
     DEFAULT_CACHE_DIR,
     ResultCache,
@@ -78,20 +75,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: <output dir>/manifest.json when --output is given)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        help="simulator kernel for this run (default: the REPRO_KERNEL "
-        "environment variable, then 'auto'); results are bit-identical "
-        "across kernels, only wall time differs",
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="coalesce Monte-Carlo sweep points into vectorized batch-kernel "
-        "calls where an experiment supports it (results are bit-identical "
-        "to the per-point path)",
-    )
-    parser.add_argument(
         "--fail-on",
         choices=("never", "claims"),
         default="claims",
@@ -104,55 +87,45 @@ def main(argv: Optional[List[str]] = None) -> int:
         "measures switching activity from a traced DPU run and reports "
         "measured vs assumed-0.5 power side by side",
     )
-    args = parser.parse_args(argv)
+    return run(parser, argv, _experiments)
 
-    if args.kernel is not None:
-        # Exported (not passed down call-by-call) so ProcessPoolExecutor
-        # workers inherit the choice with --jobs > 1.
-        os.environ[KERNEL_ENV] = args.kernel
 
+def _experiments(args: argparse.Namespace) -> int:
     if args.list:
         for experiment_id in EXPERIMENTS:
             print(experiment_id)
         return 0
 
-    output_dir = None
-    if args.output:
-        output_dir = pathlib.Path(args.output)
-        output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = pathlib.Path(args.output) if args.output else None
+    manifest_path = args.manifest
+    if manifest_path is None and output_dir is not None:
+        manifest_path = output_dir / "manifest.json"
+    if manifest_path is not None:
+        make_dir(pathlib.Path(manifest_path).parent)
+    if output_dir is not None:
+        make_dir(output_dir)
 
     ids = args.experiments or list(EXPERIMENTS)
     if args.measured_activity:
         ids = ["table3-measured" if eid == "table3" else eid for eid in ids]
     cache = None if args.no_cache else ResultCache(pathlib.Path(args.cache_dir))
-    try:
-        run = run_suite(ids, jobs=args.jobs, cache=cache, batch=args.batch)
-    except ConfigurationError as error:
-        print(f"usfq-experiments: {error}", file=sys.stderr)
-        return 2
+    suite = run_suite(ids, jobs=args.jobs, cache=cache)
 
     failures = 0
     for experiment_id in ids:
-        result = run.outcomes[experiment_id].result
+        result = suite.outcomes[experiment_id].result
         report = format_result(result)
         print(report)
         print()
         if output_dir is not None:
-            (output_dir / f"{experiment_id}.txt").write_text(report + "\n")
+            write_output(output_dir / f"{experiment_id}.txt", report + "\n")
         failures += len(result.claims) - result.claims_held
     total_note = "all claims hold" if failures == 0 else f"{failures} claim(s) differ"
     print(f"done: {len(ids)} experiment(s), {total_note}")
 
-    manifest_path = args.manifest
-    if manifest_path is None and output_dir is not None:
-        manifest_path = output_dir / "manifest.json"
     if manifest_path is not None:
-        write_manifest(pathlib.Path(manifest_path), build_manifest(run, ids))
+        write_manifest(pathlib.Path(manifest_path), build_manifest(suite, ids))
 
     if failures and args.fail_on == "claims":
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -66,8 +66,7 @@ def _structural_counts() -> np.ndarray:
     full-scale uniform pulse stream is broadcast to all lanes.  Per-lane
     RNG streams depend only on ``(seed, lane)``, so the per-rate slices
     are identical however the sweep points are scheduled.  The result is
-    memoized per process — ``run_point`` slices it per rate, and
-    :func:`run_points_batch` reads all slices from the single run.
+    memoized per process and ``run_point`` slices it per rate.
     """
     counts = _STRUCTURAL_CACHE.get("counts")
     if counts is None:
@@ -167,26 +166,6 @@ def run_point(point: Point) -> dict:
     if kind == "structural":
         return _structural_partial(ERROR_RATES.index(float(arg)))
     raise ValueError(f"unknown fig19 sweep point {point!r}")
-
-
-def run_points_batch(points: List[Point]) -> List[dict]:
-    """Run sweep points with Monte-Carlo coalescing.
-
-    The per-rate structural points all read from one vectorized
-    :class:`~repro.pulsesim.BatchSimulator` run instead of launching a
-    simulation each; every other point delegates to :func:`run_point`.
-    Partials are bit-identical to the per-point path, so cached results
-    mix freely between the two modes.
-    """
-    partials = []
-    for point in points:
-        kind, arg, _trials = point
-        if kind == "structural":
-            _structural_counts()  # one shared run for all structural points
-            partials.append(_structural_partial(ERROR_RATES.index(float(arg))))
-        else:
-            partials.append(run_point(point))
-    return partials
 
 
 def assemble(partials: List[dict]) -> ExperimentResult:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.lint.blocks import SHIPPED_BLOCKS, lint_shipped_block
-from repro.lint.report import Report, Severity
+from repro.cli import add_block_targets, add_fail_on, gate_status, run, selected_blocks
+from repro.lint.blocks import lint_shipped_block
+from repro.lint.report import Report
 from repro.lint.rules import RULES, rule_catalogue
 
 
@@ -35,20 +35,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "cross-check for the shipped U-SFQ netlists."
         ),
     )
-    parser.add_argument(
-        "blocks",
-        nargs="*",
-        metavar="BLOCK",
-        help="shipped block names to lint (see --list-blocks)",
-    )
-    parser.add_argument(
-        "--all-blocks",
-        action="store_true",
-        help="lint every shipped structural block",
-    )
-    parser.add_argument(
-        "--list-blocks", action="store_true", help="list lintable block names"
-    )
+    add_block_targets(parser, "lint")
     parser.add_argument(
         "--list-rules", action="store_true", help="list the rule catalogue"
     )
@@ -67,37 +54,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="RULE",
         help="drop a rule's diagnostics (repeatable)",
     )
-    parser.add_argument(
-        "--fail-on",
-        default="error",
-        choices=["info", "warning", "error", "never"],
-        help="lowest severity that makes the exit code non-zero (default: error)",
-    )
-    args = parser.parse_args(argv)
+    add_fail_on(parser)
+    return run(parser, argv, lambda args: _lint(parser, args))
 
-    if args.list_blocks:
-        for entry in SHIPPED_BLOCKS.values():
-            print(f"{entry.name:20s} {entry.description}")
-        return 0
+
+def _lint(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.list_rules:
         for info in rule_catalogue():
             print(f"{info.name:20s} [{info.category}/{info.severity}] {info.summary}")
         return 0
 
-    names = list(SHIPPED_BLOCKS) if args.all_blocks else args.blocks
-    if not names:
-        parser.error("nothing to lint: pass block names or --all-blocks")
-
+    names = selected_blocks(parser, args, "lint")
     unknown_rules = set(args.suppress) - set(RULES)
     if unknown_rules:
         parser.error(
             f"--suppress: unknown rule(s) {', '.join(sorted(unknown_rules))}; "
             "see --list-rules"
-        )
-    unknown_blocks = [name for name in names if name not in SHIPPED_BLOCKS]
-    if unknown_blocks:
-        parser.error(
-            f"unknown block(s) {', '.join(unknown_blocks)}; see --list-blocks"
         )
 
     reports: List[Report] = []
@@ -119,11 +91,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"linted {len(reports)} block(s): "
             f"{errors} error(s), {warnings} warning(s)"
         )
-
-    if args.fail_on == "never":
-        return 0
-    level = Severity.parse(args.fail_on)
-    return 1 if any(report.fails_at(level) for report in reports) else 0
+    return gate_status(
+        args.fail_on, (d.severity for r in reports for d in r.diagnostics)
+    )
 
 
 def _resuppress(report: Report, rules: frozenset) -> Report:
@@ -133,7 +103,3 @@ def _resuppress(report: Report, rules: frozenset) -> Report:
     return replace(
         report, diagnostics=kept, suppressed=report.suppressed + dropped
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

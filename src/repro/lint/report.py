@@ -109,10 +109,6 @@ class Report:
             return None
         return max(d.severity for d in self.diagnostics)
 
-    def fails_at(self, level: Severity) -> bool:
-        """Whether any diagnostic reaches ``level`` (CLI exit-code policy)."""
-        return any(d.severity >= level for d in self.diagnostics)
-
     # -- rendering ---------------------------------------------------------
     def summary(self) -> str:
         return (

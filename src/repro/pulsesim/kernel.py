@@ -67,8 +67,8 @@ Kernel selection::
     Simulator(circuit, kernel="sealed")     # seal the circuit, fast path
     Simulator(circuit, kernel="reference")  # the original heap loop
 
-or globally via the ``REPRO_KERNEL`` environment variable (the CLI's
-``--kernel`` flag sets it so worker processes inherit the choice).
+or process-wide via the ``REPRO_KERNEL`` environment variable, which
+worker processes inherit.
 """
 
 from __future__ import annotations

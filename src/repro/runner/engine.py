@@ -70,9 +70,6 @@ class RunReport:
     #: run resolved to — recorded so manifests from the two kernels can be
     #: diffed for wall-time (the results themselves are bit-identical).
     kernel: str = "auto"
-    #: Whether sweep experiments routed through their ``run_points_batch``
-    #: hook (Monte-Carlo points coalesced into batch-kernel calls).
-    batch: bool = False
 
     @property
     def failures(self) -> int:
@@ -104,7 +101,6 @@ def run_suite(
     ids: Sequence[str],
     jobs: Union[int, str, None] = 1,
     cache: Optional[ResultCache] = None,
-    batch: bool = False,
 ) -> RunReport:
     """Run experiments (cache-aware, optionally parallel); registry order.
 
@@ -113,12 +109,6 @@ def run_suite(
     The resolved worker count lands in ``RunReport.jobs`` and the raw
     request in ``RunReport.jobs_requested`` — results are byte-identical
     either way, so manifests stay diffable across hosts.
-
-    With ``batch=True``, sweep experiments whose module defines
-    ``run_points_batch`` execute as one unit through that hook, which
-    coalesces Monte-Carlo sweep points into single vectorized batch-kernel
-    calls.  Results are bit-identical to the per-point path (the hooks
-    guarantee it), so cached entries are shared between the modes.
     """
     started = time.perf_counter()
     jobs_requested = "auto" if jobs is None else str(jobs)
@@ -132,7 +122,6 @@ def run_suite(
         cache_dir=str(cache.directory) if cache else None,
         source_digest=cache.digest if cache else None,
         kernel=resolve_kernel(None),
-        batch=batch,
     )
 
     # Phase 1: serve cache hits.
@@ -155,10 +144,7 @@ def run_suite(
     # per-point units when a pool is available.
     units: List[WorkUnit] = []
     for experiment_id in to_compute:
-        module = SWEEPS.get(experiment_id)
-        if batch and module is not None and hasattr(module, "run_points_batch"):
-            units.append(WorkUnit(experiment_id, batched=True))
-        elif jobs > 1 and experiment_id in SWEEPS:
+        if jobs > 1 and experiment_id in SWEEPS:
             for index, point in enumerate(SWEEPS[experiment_id].sweep_points()):
                 units.append(WorkUnit(experiment_id, index, point))
         else:

@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
 
+from repro.cli import write_output
 from repro.runner.engine import RunReport
 
 #: Bump on any backwards-incompatible manifest layout change.
@@ -25,7 +26,9 @@ from repro.runner.engine import RunReport
 #: 5: ``jobs`` is now the *resolved* worker count (``--jobs auto`` pins
 #:    to the host CPU count) and ``jobs_requested`` preserves the raw
 #:    request, so manifests from different hosts stay explainable.
-MANIFEST_SCHEMA = 5
+#: 6: dropped the top-level ``batch`` field with ``usfq-experiments
+#:    --batch``; every run takes the one per-point path.
+MANIFEST_SCHEMA = 6
 
 
 def build_manifest(
@@ -57,7 +60,6 @@ def build_manifest(
         "jobs": report.jobs,
         "jobs_requested": report.jobs_requested,
         "kernel": report.kernel,
-        "batch": report.batch,
         "wall_time_s": round(report.wall_time_s, 6),
         "cache": {
             "dir": report.cache_dir,
@@ -78,7 +80,5 @@ def build_manifest(
 
 def write_manifest(path: Path, manifest: dict) -> Path:
     """Write the manifest JSON (pretty-printed, trailing newline)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    write_output(path, json.dumps(manifest, indent=2) + "\n")
+    return Path(path)

@@ -25,18 +25,11 @@ from repro.trace.metrics import capture_metrics, empty_metrics
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One schedulable piece of work: an experiment or one sweep point.
-
-    ``batched`` marks a whole-experiment unit that routes through the
-    sweep module's ``run_points_batch`` hook, which coalesces Monte-Carlo
-    points into vectorized batch-kernel calls instead of running them one
-    by one.
-    """
+    """One schedulable piece of work: an experiment or one sweep point."""
 
     experiment_id: str
     point_index: Optional[int] = None
     point: Any = None
-    batched: bool = False
 
 
 @dataclass
@@ -56,12 +49,7 @@ def execute_unit(unit: WorkUnit) -> UnitOutcome:
     started = time.perf_counter()
     fault_base = faults.fault_totals()
     with capture_stats() as stats, capture_metrics() as registry:
-        if unit.batched:
-            module = SWEEPS[unit.experiment_id]
-            payload = module.assemble(
-                module.run_points_batch(module.sweep_points())
-            )
-        elif unit.point_index is None:
+        if unit.point_index is None:
             payload = resolve_experiment(unit.experiment_id)()
         else:
             payload = SWEEPS[unit.experiment_id].run_point(unit.point)

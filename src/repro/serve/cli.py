@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import sys
 from typing import Optional, Sequence
 
+from repro.cli import run
 from repro.errors import ConfigurationError
 from repro.serve.server import ServeConfig, ServeService, serve_forever
 
@@ -86,12 +86,11 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ConfigurationError as exc:
-        print(f"usfq-serve: {exc}", file=sys.stderr)
-        return 2
+    return run(build_parser(), argv, _serve)
+
+
+def _serve(args: argparse.Namespace) -> int:
+    config = config_from_args(args)
 
     def ready(service: ServeService, port: int) -> None:
         print(
@@ -106,10 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:  # pragma: no cover - direct ^C race
         pass
     except OSError as exc:
-        print(f"usfq-serve: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigurationError(
+            f"cannot serve on {config.host}:{config.port}: {exc}"
+        ) from exc
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -76,14 +76,26 @@ class ServeConfig:
     latency_window: int = 8192  #: samples kept for /stats percentiles
 
     def __post_init__(self) -> None:
-        if self.max_pending < 1:
+        # Every bound is checked here, before any component or worker
+        # process is built; the components re-check their own.
+        if not 0 <= self.port <= 65_535:
             raise ConfigurationError(
-                f"max_pending must be >= 1, got {self.max_pending}"
+                f"port must be in [0, 65535], got {self.port}"
             )
-        if self.latency_window < 1:
-            raise ConfigurationError(
-                f"latency_window must be >= 1, got {self.latency_window}"
-            )
+        for name, low in (
+            ("max_batch", 1),
+            ("max_wait_us", 0),
+            ("workers", 0),
+            ("max_pending", 1),
+            ("cache_entries", 0),
+            ("drain_grace_s", 0),
+            ("latency_window", 1),
+        ):
+            value = getattr(self, name)
+            if not value >= low:  # also rejects a NaN grace period
+                raise ConfigurationError(
+                    f"{name} must be >= {low}, got {value}"
+                )
 
 
 def _percentile(samples: List[float], fraction: float) -> float:

@@ -33,8 +33,8 @@ import sys
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproError
-from repro.lint.blocks import SHIPPED_BLOCKS, BuiltBlock, build_shipped_block
+from repro import cli
+from repro.lint.blocks import BuiltBlock, build_shipped_block
 from repro.pulsesim.simulator import Simulator
 from repro.shard.engine import ShardSimulator
 from repro.shard.partition import (
@@ -108,8 +108,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     _built, plan = _plan_for(args)
     text = plan.dumps()
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        cli.write_output(args.output, text)
         print(f"wrote plan to {args.output}")
     else:
         sys.stdout.write(text)
@@ -233,8 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "processes."
         ),
     )
-    parser.add_argument("--list-blocks", action="store_true",
-                        help="list partitionable block names and exit")
+    cli.add_list_blocks(parser)
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     partition = commands.add_parser(
@@ -266,25 +264,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("--json", action="store_true",
                      help="emit the run report as JSON")
 
-    args = parser.parse_args(argv)
-    if args.list_blocks:
-        for entry in SHIPPED_BLOCKS.values():
-            print(f"{entry.name:20s} {entry.description}")
-        return 0
-    if args.command is None:
-        parser.error("pass a command: partition, plan, or run")
-
-    handler = {
-        "partition": _cmd_partition,
-        "plan": _cmd_plan,
-        "run": _cmd_run,
-    }[args.command]
-    try:
+    def command(args: argparse.Namespace) -> int:
+        if args.command is None:
+            parser.error("pass a command: partition, plan, or run")
+        handler = {
+            "partition": _cmd_partition,
+            "plan": _cmd_plan,
+            "run": _cmd_run,
+        }[args.command]
         return handler(args)
-    except ReproError as error:
-        print(f"usfq-shard: {error}", file=sys.stderr)
-        return 2
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return cli.run(parser, argv, command)

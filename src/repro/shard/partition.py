@@ -60,6 +60,20 @@ class LinkSpec:
     hop_latency_fs: int = tech.T_NOC_HOP_FS
     fifo_depth: int = tech.NOC_FIFO_DEPTH
 
+    def __post_init__(self) -> None:
+        # NocLink's bounds, checked when a plan is made or loaded rather
+        # than when a run first builds a link.
+        for name, low in (
+            ("serialization_fs", 1),
+            ("hop_latency_fs", 0),
+            ("fifo_depth", 1),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigurationError(
+                    f"NoC link {name} must be >= {low}, got {value}"
+                )
+
     def min_latency_fs(self, hops: int) -> int:
         return self.serialization_fs + hops * self.hop_latency_fs
 

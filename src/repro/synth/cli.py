@@ -33,7 +33,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproError, SynthesisError
+from repro.cli import gate_status, run, write_output
+from repro.errors import SynthesisError
 from repro.lint.report import Severity
 from repro.synth.api import (
     analyze_program,
@@ -116,16 +117,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         }
         rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(rendered)
+        write_output(args.out, rendered)
     else:
         sys.stdout.write(rendered)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    level = Severity.parse(args.fail_on)
     results: List[Dict[str, Any]] = []
-    failed = False
     for name in args.specs:
         path = Path(name)
         spec = _load_spec(path)
@@ -142,17 +141,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "findings": findings,
         }
         results.append(entry)
-        if any(Severity.parse(f["severity"]) >= level for f in findings):
-            failed = True
     if args.json:
         json.dump({"results": results}, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
         for entry in results:
-            status = "FAIL" if any(
-                Severity.parse(f["severity"]) >= level
-                for f in entry["findings"]
-            ) else "ok"
+            status = "FAIL" if _gate(args, [entry]) else "ok"
             print(
                 f"[{status}] {entry['spec']} ({entry['name']},"
                 f" {entry['jj']} JJ, slot {entry['slot_fs']} fs):"
@@ -161,7 +155,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             for finding in entry["findings"]:
                 print(f"    [{finding['severity']}] {finding['check']}:"
                       f" {finding['message']}")
-    return 1 if failed else 0
+    return _gate(args, results)
+
+
+def _gate(args: argparse.Namespace, results: List[Dict[str, Any]]) -> int:
+    """The exit status ``--fail-on`` implies for these specs' findings."""
+    return gate_status(args.fail_on, (
+        Severity.parse(f["severity"]) for entry in results for f in entry["findings"]
+    ))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -226,14 +227,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_check.set_defaults(func=_cmd_check)
 
-    args = parser.parse_args(argv)
-    try:
-        result: int = args.func(args)
-        return result
-    except ReproError as exc:
-        print(f"usfq-synth: error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via console script
-    sys.exit(main())
+    return run(parser, argv, lambda args: args.func(args))

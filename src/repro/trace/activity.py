@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.encoding.epoch import EpochSpec
+from repro.errors import ConfigurationError
 from repro.trace.session import TraceSession
 
 #: Deterministic workload seed (the measurement must be reproducible).
@@ -51,7 +52,6 @@ def measure_dpu_activity(
     bits: int = 4,
     epochs: int = 4,
     seed: int = DEFAULT_SEED,
-    kernel: Optional[str] = None,
     session: Optional[TraceSession] = None,
 ) -> ActivityReport:
     """Run a traced DPU workload and measure per-component activity.
@@ -64,8 +64,10 @@ def measure_dpu_activity(
     """
     from repro.core.dpu import DotProductUnit
 
+    if epochs < 1:
+        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     epoch = EpochSpec(bits=bits)
-    dpu = DotProductUnit(epoch, length, kernel=kernel)
+    dpu = DotProductUnit(epoch, length)
     trace = session if session is not None else TraceSession()
     trace.attach(dpu.circuit)
     dpu.trace = trace

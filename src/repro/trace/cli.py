@@ -18,10 +18,14 @@ previously written artifacts (used by CI on the uploaded files).
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import pathlib
 import sys
 from typing import List, Optional, Tuple
 
+from repro.cli import make_dir, run, write_output
+from repro.errors import ConfigurationError
 from repro.trace.session import TraceSession
 
 #: workload name -> (aliases, description)
@@ -49,7 +53,7 @@ def resolve_workload(name: str) -> str:
     known = sorted(
         list(WORKLOADS) + [a for aliases, _ in WORKLOADS.values() for a in aliases]
     )
-    raise SystemExit(f"usfq-trace: unknown workload {name!r}; known: {known}")
+    raise ConfigurationError(f"unknown workload {name!r}; known: {known}")
 
 
 def _run_multiplier(args, session: TraceSession) -> List[str]:
@@ -57,7 +61,7 @@ def _run_multiplier(args, session: TraceSession) -> List[str]:
     from repro.encoding.epoch import EpochSpec
 
     epoch = EpochSpec(bits=args.bits)
-    unit = UnipolarMultiplier(epoch, kernel=args.kernel)
+    unit = UnipolarMultiplier(epoch)
     session.attach(unit.circuit)
     unit.trace = session
     half = epoch.n_max // 2
@@ -68,7 +72,7 @@ def _run_multiplier(args, session: TraceSession) -> List[str]:
 def _run_counting(args, session: TraceSession) -> List[str]:
     from repro.core.counting import CountingNetwork
 
-    network = CountingNetwork(8, kernel=args.kernel)
+    network = CountingNetwork(8)
     session.attach(network.circuit)
     network.trace = session
     slot = 20_000
@@ -89,7 +93,6 @@ def _run_dpu(args, session: TraceSession) -> List[str]:
         bits=args.bits,
         epochs=args.epochs,
         seed=args.seed,
-        kernel=args.kernel,
         session=session,
     )
     return [
@@ -111,13 +114,15 @@ def _validate(args) -> int:
     from repro.trace.perfetto import validate_trace
     from repro.trace.vcd import parse_vcd
 
+    if not args.vcd and not args.perfetto:
+        raise ConfigurationError("validate needs --vcd and/or --perfetto")
     failures = 0
     if args.vcd:
         try:
             with open(args.vcd) as handle:
                 info = parse_vcd(handle.read())
         except (OSError, ValueError) as error:
-            print(f"usfq-trace: VCD invalid: {error}", file=sys.stderr)
+            print(f"vcd invalid: {error}", file=sys.stderr)
             failures += 1
         else:
             print(
@@ -130,7 +135,7 @@ def _validate(args) -> int:
             with open(args.perfetto) as handle:
                 info = validate_trace(json.load(handle))
         except (OSError, ValueError) as error:
-            print(f"usfq-trace: perfetto invalid: {error}", file=sys.stderr)
+            print(f"perfetto invalid: {error}", file=sys.stderr)
             failures += 1
         else:
             print(
@@ -139,9 +144,6 @@ def _validate(args) -> int:
                 f"{info['pulse_count']} pulses, "
                 f"counters {info['counter_series']}"
             )
-    if not args.vcd and not args.perfetto:
-        print("usfq-trace: validate needs --vcd and/or --perfetto", file=sys.stderr)
-        return 2
     return 1 if failures else 0
 
 
@@ -159,12 +161,6 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     trace.add_argument(
         "--metrics", metavar="PATH", help="write metrics-registry JSON here"
-    )
-    trace.add_argument(
-        "--kernel",
-        choices=["auto", "reference", "sealed"],
-        default=None,
-        help="simulator kernel (default: auto)",
     )
     trace.add_argument("--length", type=int, default=8, help="DPU vector length")
     trace.add_argument("--bits", type=int, default=4, help="epoch resolution")
@@ -191,18 +187,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     trace_parser, validate_parser = _build_parsers()
     if argv and argv[0] == "validate":
-        return _validate(validate_parser.parse_args(argv[1:]))
-    args = trace_parser.parse_args(argv)
+        return run(validate_parser, argv[1:], _validate)
+    return run(trace_parser, argv, _trace)
+
+
+def _trace(args) -> int:
     if args.list:
         for workload, (aliases, descr) in sorted(WORKLOADS.items()):
             names = ", ".join([workload, *aliases])
             print(f"{names}: {descr}")
         return 0
     if not args.workload:
-        trace_parser.print_usage(sys.stderr)
-        print("usfq-trace: name a workload or pass --list", file=sys.stderr)
-        return 2
+        raise ConfigurationError("name a workload or pass --list")
     workload = resolve_workload(args.workload)
+    for path in (args.vcd, args.perfetto, args.metrics):
+        if path:
+            make_dir(pathlib.Path(path).parent)
     if args.seed is None:
         from repro.trace.activity import DEFAULT_SEED
 
@@ -222,20 +222,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.trace.vcd import DEFAULT_PULSE_WIDTH_FS, write_vcd
 
         width = args.pulse_width or DEFAULT_PULSE_WIDTH_FS
-        write_vcd(session, args.vcd, pulse_width_fs=width)
+        buffer = io.StringIO()
+        write_vcd(session, buffer, pulse_width_fs=width)
+        write_output(args.vcd, buffer.getvalue())
         print(f"wrote VCD: {args.vcd}")
     if args.perfetto:
         from repro.trace.perfetto import write_perfetto
 
-        write_perfetto(session, args.perfetto)
+        buffer = io.StringIO()
+        write_perfetto(session, buffer)
+        write_output(args.perfetto, buffer.getvalue())
         print(f"wrote Perfetto trace: {args.perfetto}")
     if args.metrics:
-        with open(args.metrics, "w") as handle:
-            json.dump(session.metrics_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps(session.metrics_dict(), indent=2, sort_keys=True)
+        write_output(args.metrics, text + "\n")
         print(f"wrote metrics: {args.metrics}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via usfq-trace
-    sys.exit(main())

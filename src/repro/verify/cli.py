@@ -23,7 +23,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.errors import VerificationError
+from repro.cli import run
 from repro.verify.corpus import DEFAULT_CORPUS_DIR
 from repro.verify.generator import PROFILES
 from repro.verify.harness import VerifyConfig, replay_corpus, run_verify
@@ -82,17 +82,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
-    args = parser.parse_args(argv)
+    return run(parser, argv, _verify)
 
+
+def _verify(args: argparse.Namespace) -> int:
     if args.list_oracles:
         return _list_oracles(args.json)
-    try:
-        if args.replay is not None:
-            return _replay(args)
-        return _fuzz(args)
-    except VerificationError as error:
-        print(f"usfq-verify: {error}", file=sys.stderr)
-        return 2
+    if args.replay is not None:
+        return _replay(args)
+    return _fuzz(args)
 
 
 def _list_oracles(as_json: bool) -> int:
@@ -162,7 +160,3 @@ def _replay(args: argparse.Namespace) -> int:
             if not outcome["ok"]:
                 print(f"      {outcome['detail']}")
     return 0 if all(outcome["ok"] for outcome in outcomes) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

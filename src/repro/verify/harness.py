@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import VerificationError
@@ -36,6 +37,13 @@ class VerifyConfig:
     shrink_budget: int = DEFAULT_BUDGET
     #: Where to persist shrunk counterexamples; ``None`` disables saving.
     corpus_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.max_examples is not None and self.max_examples < 1:
+            # Zero examples would report a vacuous pass.
+            raise VerificationError(
+                f"max_examples must be >= 1, got {self.max_examples}"
+            )
 
 
 @dataclass
@@ -171,7 +179,12 @@ def _investigate(config: VerifyConfig, example: int, name: str,
 
 
 def replay_corpus(directory: str) -> List[Dict]:
-    """Replay every corpus entry; returns per-entry outcome dicts."""
+    """Replay every corpus entry; returns per-entry outcome dicts.
+
+    A missing directory raises: a mistyped path must not replay clean.
+    """
+    if not Path(directory).is_dir():
+        raise VerificationError(f"no corpus directory {directory}")
     outcomes = []
     for path, entry in corpusmod.iter_corpus(directory):
         try:

@@ -1,7 +1,6 @@
 """The usfq-experiments CLI: output, exit codes, runner flags."""
 
 import json
-import os
 
 import pytest
 
@@ -17,14 +16,9 @@ def _sandbox_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _isolate_kernel_env():
-    """``--kernel`` exports REPRO_KERNEL; never leak it across tests."""
-    saved = os.environ.pop("REPRO_KERNEL", None)
-    yield
-    if saved is None:
-        os.environ.pop("REPRO_KERNEL", None)
-    else:
-        os.environ["REPRO_KERNEL"] = saved
+def _isolate_kernel_env(monkeypatch):
+    """Start every test from the default kernel choice."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
 
 
 def test_list_option(capsys):
@@ -99,28 +93,27 @@ def test_parallel_stdout_matches_serial(capsys):
     assert parallel == serial
 
 
-def test_kernel_choice_does_not_change_stdout(capsys):
+def test_kernel_choice_does_not_change_stdout(monkeypatch, capsys):
     """Sealed vs reference kernel: byte-identical reports, any job count."""
     ids = ["fig14", "fig12"]
     outputs = []
-    for flags in (["--kernel", "reference"],
-                  ["--kernel", "sealed"],
-                  ["--kernel", "sealed", "--jobs", "2"]):
+    for kernel, flags in (("reference", []),
+                          ("sealed", []),
+                          ("sealed", ["--jobs", "2"])):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
         assert main([*ids, "--no-cache", *flags]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_kernel_flag_recorded_in_manifest(tmp_path, capsys):
+def test_kernel_flag_recorded_in_manifest(monkeypatch, tmp_path, capsys):
     manifest = tmp_path / "m.json"
     args = ["table2", "--no-cache", "--manifest", str(manifest)]
-    assert main([*args, "--kernel", "reference"]) == 0
-    capsys.readouterr()
-    assert json.loads(manifest.read_text())["kernel"] == "reference"
+    monkeypatch.setenv("REPRO_KERNEL", "reference")
     assert main(args) == 0
     capsys.readouterr()
-    assert json.loads(manifest.read_text())["kernel"] == "reference"  # env sticks
-    del os.environ["REPRO_KERNEL"]
+    assert json.loads(manifest.read_text())["kernel"] == "reference"
+    monkeypatch.delenv("REPRO_KERNEL")
     assert main(args) == 0
     capsys.readouterr()
     assert json.loads(manifest.read_text())["kernel"] == "auto"

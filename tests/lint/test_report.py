@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import gate_status
 from repro.lint.report import Diagnostic, Report, Severity
 
 
@@ -66,16 +67,18 @@ def test_report_ok_with_only_notes():
 
 def test_fails_at_thresholds():
     report = Report(target="t", diagnostics=[_diag(severity=Severity.WARNING)])
-    assert report.fails_at(Severity.WARNING)
-    assert report.fails_at(Severity.INFO)
-    assert not report.fails_at(Severity.ERROR)
+    severities = [d.severity for d in report.diagnostics]
+    assert gate_status("warning", severities) == 1
+    assert gate_status("info", severities) == 1
+    assert gate_status("error", severities) == 0
+    assert gate_status("never", [Severity.ERROR]) == 0
 
 
 def test_empty_report_is_ok_and_never_fails():
     report = Report(target="t", diagnostics=[])
     assert report.ok
     assert report.worst() is None
-    assert not report.fails_at(Severity.INFO)
+    assert gate_status("info", [d.severity for d in report.diagnostics]) == 0
 
 
 def test_format_text_hides_infos_when_terse():

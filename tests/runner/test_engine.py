@@ -1,11 +1,9 @@
 """run_suite: fan-out, cache integration, deterministic aggregation."""
 
-import types
-
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.report import ExperimentResult, format_result
+from repro.experiments.report import format_result
 from repro.runner import ResultCache, run_suite
 
 # Cheap but representative: two sweep-capable figures plus a
@@ -64,39 +62,3 @@ def test_failures_counts_differing_claims():
 def test_duplicate_ids_collapse_to_one_outcome():
     report = run_suite(["table2", "table2"])
     assert list(report.outcomes) == ["table2"]
-
-
-def test_batch_falls_back_without_run_points_batch():
-    """batch=True on a sweep module lacking the hook runs normally."""
-    serial = run_suite(["fig14"])
-    batched = run_suite(["fig14"], batch=True)
-    assert batched.batch is True and serial.batch is False
-    assert format_result(batched.outcomes["fig14"].result) == \
-        format_result(serial.outcomes["fig14"].result)
-
-
-def test_batch_coalesces_sweep_into_one_unit(monkeypatch):
-    from repro.experiments import registry
-
-    coalesced = []
-
-    def assemble(partials):
-        result = ExperimentResult("fake", "fake sweep", ["points"])
-        result.add_row(len(partials))
-        return result
-
-    fake = types.SimpleNamespace(
-        sweep_points=lambda: ["a", "b", "c"],
-        run_point=lambda point: {"p": point},
-        run_points_batch=lambda points: (
-            coalesced.append(list(points)),
-            [{"p": p} for p in points],
-        )[1],
-        assemble=assemble,
-    )
-    monkeypatch.setitem(registry.EXPERIMENTS, "fake", lambda: assemble([]))
-    monkeypatch.setitem(registry.SWEEPS, "fake", fake)
-    report = run_suite(["fake"], jobs=1, batch=True)
-    # One call carrying every sweep point, not one call per point.
-    assert coalesced == [["a", "b", "c"]]
-    assert report.outcomes["fake"].result.rows == [(3,)]

@@ -46,14 +46,6 @@ def test_fig19_point_kinds_cover_every_study():
     assert kinds.count("structural") == 6  # one per error rate
 
 
-def test_fig19_batched_points_match_per_point_path():
-    """run_points_batch must be partial-for-partial identical to run_point
-    (the runner caches results across the two modes)."""
-    module = SWEEPS["fig19"]
-    points = [p for p in module.sweep_points(trials=1) if p[0] == "structural"]
-    assert module.run_points_batch(points) == [module.run_point(p) for p in points]
-
-
 def test_fig19_unknown_point_rejected():
     with pytest.raises(ValueError, match="unknown fig19 sweep point"):
         SWEEPS["fig19"].run_point(("bogus", "", 0))

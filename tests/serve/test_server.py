@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.digest import cached_source_digest
+from repro.errors import ConfigurationError
 from repro.serve import ServeConfig, ServeService, start_server_thread
 from repro.serve.server import bound_port, start_http_server
 
@@ -314,3 +315,31 @@ def test_model_ops_over_http(payload, expected_status):
         status, body = server.post_json("/v1/compute", payload)
         assert status == expected_status
         assert body["ok"] is True
+
+
+# -- configuration bounds --------------------------------------------------------
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("port", -1),
+        ("port", 70_000),
+        ("max_batch", 0),
+        ("max_wait_us", -1),
+        ("workers", -1),
+        ("max_pending", 0),
+        ("cache_entries", -1),
+        ("drain_grace_s", -5.0),
+        ("drain_grace_s", float("nan")),
+        ("latency_window", 0),
+    ],
+)
+def test_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ServeConfig(**{field: value})
+
+
+def test_config_accepts_its_edge_values():
+    config = ServeConfig(port=65_535, max_batch=1, max_wait_us=0, workers=0,
+                         max_pending=1, cache_entries=0, drain_grace_s=0.0,
+                         latency_window=1)
+    assert ServeConfig(port=0).port == 0 and config.port == 65_535

@@ -87,6 +87,28 @@ def test_custom_link_spec_moves_the_lookahead():
     assert fast.lookahead_fs < slow.lookahead_fs
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("serialization_fs", 0), ("serialization_fs", -5), ("hop_latency_fs", -1),
+     ("fifo_depth", 0)],
+)
+def test_link_spec_takes_the_noc_link_bounds(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        LinkSpec(**{field: value})
+    # An archived plan carrying such a link is refused on load, too.
+    _built, plan = _plan(num_shards=2)
+    document = json.loads(plan.dumps())
+    document["link"][field] = value
+    with pytest.raises(ConfigurationError, match=field):
+        ShardPlan.from_json(document)
+
+
+def test_link_spec_edge_values_are_legal():
+    link = LinkSpec(serialization_fs=1, hop_latency_fs=0, fifo_depth=1)
+    _built, plan = _plan(num_shards=2, link=link)
+    assert plan.lookahead_fs is not None and plan.lookahead_fs > 0
+
+
 @pytest.mark.parametrize("bad", [0, -1, 12])  # pnm has 11 cells
 def test_invalid_shard_counts_are_rejected(bad):
     built = _pnm()

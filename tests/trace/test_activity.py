@@ -17,9 +17,11 @@ def test_measure_dpu_activity_defaults():
     assert report.cell_group_pulses["balancer"] > 0
 
 
-def test_measurement_is_deterministic_and_kernel_independent():
-    first = measure_dpu_activity(kernel="reference")
-    second = measure_dpu_activity(kernel="sealed")
+def test_measurement_is_deterministic_and_kernel_independent(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "reference")
+    first = measure_dpu_activity()
+    monkeypatch.setenv("REPRO_KERNEL", "sealed")
+    second = measure_dpu_activity()
     assert first.multiplier_activity == second.multiplier_activity
     assert first.balancer_activity == second.balancer_activity
     assert first.cell_group_pulses == second.cell_group_pulses

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.trace.cli import main, resolve_workload
 
 
@@ -12,7 +13,7 @@ def test_resolve_workload_aliases():
     assert resolve_workload("fig14") == "dpu"
     assert resolve_workload("fig04") == "multiplier"
     assert resolve_workload("counting") == "counting"
-    with pytest.raises(SystemExit, match="unknown workload"):
+    with pytest.raises(ConfigurationError, match="unknown workload"):
         resolve_workload("fig99")
 
 

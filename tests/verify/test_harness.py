@@ -180,7 +180,8 @@ def test_cli_replay_modes(tmp_path, capsys):
     assert main(["--replay", str(corpus_dir), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload and all(outcome["ok"] for outcome in payload)
-    # Empty corpus replays clean.
+    # An existing empty corpus replays clean.
+    (tmp_path / "empty").mkdir()
     assert main(["--replay", str(tmp_path / "empty")]) == 0
 
 
