@@ -59,18 +59,19 @@ gate (a silently dropped benchmark must not look like a pass); one
 present only in the run is reported but allowed, so a PR can add
 benchmarks and re-baseline in the same change.
 
-Re-baseline (run from the repository root)::
+Re-baseline (run from the repository root; the same five files as CI's
+``benchmarks`` job, so no baseline entry is silently dropped)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_microbench_kernels.py \
         benchmarks/test_batch_kernel.py benchmarks/test_shard_kernel.py \
-        benchmarks/test_serve_latency.py \
+        benchmarks/test_analyze_static.py benchmarks/test_serve_latency.py \
         --benchmark-json=benchmarks/BENCH_baseline.json -q
 
 Gate a fresh run::
 
     PYTHONPATH=src python -m pytest benchmarks/test_microbench_kernels.py \
         benchmarks/test_batch_kernel.py benchmarks/test_shard_kernel.py \
-        benchmarks/test_serve_latency.py \
+        benchmarks/test_analyze_static.py benchmarks/test_serve_latency.py \
         --benchmark-json=bench.json -q
     python benchmarks/check_regression.py bench.json
 """

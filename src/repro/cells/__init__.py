@@ -1,7 +1,11 @@
 """Behavioural RSFQ cell library (the gates of the paper's Table 1).
 
 Each cell is a :class:`~repro.pulsesim.element.Element` whose state machine
-matches the published gate semantics:
+matches the published gate semantics.  Every finite-state cell below is a
+:class:`~repro.pulsesim.element.TableCell`: its behaviour is written once,
+as a ``TRANSITIONS`` table that the reference, sealed and batch kernels all
+run.  Only the timed cells keep a hand-written ``handle``: the merger (dead
+time) and :class:`NocLink` (serialization and a bounded FIFO).
 
 ===========  ================================================================
 Cell         Behaviour (paper Table 1)

@@ -23,10 +23,10 @@ C1 and C2 — the balancer's Mealy machine (Fig 6c).
 from __future__ import annotations
 
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element, PortSpec
+from repro.pulsesim.element import CellRole, PortSpec, TableCell
 
 
-class Bff(Element):
+class Bff(TableCell):
     """Four-input, single-loop B flip-flop."""
 
     INPUTS = (
@@ -38,21 +38,10 @@ class Bff(Element):
     OUTPUTS = ("q1", "nq1", "q2", "nq2")
     ROLES = frozenset({CellRole.STORAGE})
     jj_count = tech.JJ_BFF
-
-    def __init__(self, name: str, delay: int = tech.T_DFF_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.state = 0
-
-    def handle(self, sim, port, time):
-        if port in ("s1", "s2"):
-            if self.state == 0:
-                self.state = 1
-                self.emit(sim, "q1" if port == "s1" else "q2", time + self.delay)
-        else:  # r1 / r2
-            if self.state == 1:
-                self.state = 0
-                self.emit(sim, "nq1" if port == "r1" else "nq2", time + self.delay)
-
-    def reset(self):
-        self.state = 0
+    DEFAULT_DELAY = tech.T_DFF_FS
+    TRANSITIONS = {
+        "s1": ((1, ("q1",)), (1, ())),
+        "r1": ((0, ()), (0, ("nq1",))),
+        "s2": ((1, ("q2",)), (1, ())),
+        "r2": ((0, ()), (0, ("nq2",))),
+    }

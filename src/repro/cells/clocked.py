@@ -12,7 +12,7 @@ substrate for structural unary-vs-binary comparisons.
 from __future__ import annotations
 
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element, PortSpec
+from repro.pulsesim.element import CellRole, PortSpec, TableCell
 
 #: JJ budgets for clocked Boolean gates (RSFQ cell libraries [11, 58]).
 JJ_AND = 11
@@ -20,8 +20,24 @@ JJ_OR = 9
 JJ_XOR = 11
 
 
-class _ClockedGate(Element):
-    """Shared machinery: latch ``a``/``b`` pulses, evaluate on ``clk``."""
+def _gate_table(function):
+    """Transitions of a clocked gate computing ``function(a, b)``.
+
+    State bit 0 latches an ``a`` pulse and bit 1 a ``b`` pulse; ``clk``
+    emits iff the function of the latched bits holds, then clears both.
+    """
+    return {
+        "a": tuple((state | 1, ()) for state in range(4)),
+        "b": tuple((state | 2, ()) for state in range(4)),
+        "clk": tuple(
+            (0, ("q",) if function(state & 1, state >> 1) else ())
+            for state in range(4)
+        ),
+    }
+
+
+class _ClockedGate(TableCell):
+    """Shared ports: latch ``a``/``b`` pulses, evaluate on ``clk``."""
 
     INPUTS = (
         PortSpec("a", priority=0),
@@ -31,54 +47,25 @@ class _ClockedGate(Element):
     OUTPUTS = ("q",)
     ROLES = frozenset({CellRole.STORAGE, CellRole.CLOCKED})
     CLOCK_PORTS = ("clk",)
-
-    def __init__(self, name: str, delay: int = tech.T_DFF_FS):
-        super().__init__(name)
-        self.delay = delay
-        self._a = False
-        self._b = False
-
-    def evaluate(self, a: bool, b: bool) -> bool:
-        raise NotImplementedError
-
-    def handle(self, sim, port, time):
-        if port == "a":
-            self._a = True
-        elif port == "b":
-            self._b = True
-        else:  # clk: evaluate, emit, clear
-            if self.evaluate(self._a, self._b):
-                self.emit(sim, "q", time + self.delay)
-            self._a = False
-            self._b = False
-
-    def reset(self):
-        self._a = False
-        self._b = False
+    DEFAULT_DELAY = tech.T_DFF_FS
 
 
 class ClockedAnd(_ClockedGate):
     """Synchronous AND: pulses on q iff both inputs pulsed this cycle."""
 
     jj_count = JJ_AND
-
-    def evaluate(self, a, b):
-        return a and b
+    TRANSITIONS = _gate_table(lambda a, b: a and b)
 
 
 class ClockedOr(_ClockedGate):
     """Synchronous OR: pulses on q iff either input pulsed this cycle."""
 
     jj_count = JJ_OR
-
-    def evaluate(self, a, b):
-        return a or b
+    TRANSITIONS = _gate_table(lambda a, b: a or b)
 
 
 class ClockedXor(_ClockedGate):
     """Synchronous XOR: pulses on q iff exactly one input pulsed."""
 
     jj_count = JJ_XOR
-
-    def evaluate(self, a, b):
-        return a != b
+    TRANSITIONS = _gate_table(lambda a, b: a != b)

@@ -9,40 +9,29 @@ pulse-loss statistics.
 from __future__ import annotations
 
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element
+from repro.pulsesim.element import CellRole, Element, TableCell
 
 
-class Jtl(Element):
+class Jtl(TableCell):
     """Josephson transmission line segment: a pure delay buffer."""
 
     INPUTS = ("a",)
     OUTPUTS = ("q",)
     ROLES = frozenset({CellRole.BUFFER})
     jj_count = tech.JJ_JTL
-
-    def __init__(self, name: str, delay: int = tech.T_JTL_FS):
-        super().__init__(name)
-        self.delay = delay
-
-    def handle(self, sim, port, time):
-        self.emit(sim, "q", time + self.delay)
+    DEFAULT_DELAY = tech.T_JTL_FS
+    TRANSITIONS = {"a": ((0, ("q",)),)}
 
 
-class Splitter(Element):
+class Splitter(TableCell):
     """1:2 splitter: every input pulse appears at both outputs."""
 
     INPUTS = ("a",)
     OUTPUTS = ("q1", "q2")
     ROLES = frozenset({CellRole.SPLITTER})
     jj_count = tech.JJ_SPLITTER
-
-    def __init__(self, name: str, delay: int = tech.T_SPLITTER_FS):
-        super().__init__(name)
-        self.delay = delay
-
-    def handle(self, sim, port, time):
-        self.emit(sim, "q1", time + self.delay)
-        self.emit(sim, "q2", time + self.delay)
+    DEFAULT_DELAY = tech.T_SPLITTER_FS
+    TRANSITIONS = {"a": ((0, ("q1", "q2")),)}
 
 
 class Merger(Element):

@@ -9,16 +9,18 @@ gate computes the Race-Logic ``min`` (Fig 2a) in 8 JJs.
 from __future__ import annotations
 
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element, PortSpec
+from repro.pulsesim.element import CellRole, PortSpec, TableCell
 
 
-class Inverter(Element):
+class Inverter(TableCell):
     """Clocked RSFQ inverter.
 
     Emits a pulse at ``q`` on each ``clk`` pulse iff no data pulse arrived
     at ``a`` since the previous clock.  With ``clk`` running at the epoch's
     maximum pulse rate, the output stream carries ``n_max - n`` pulses for
     an ``n``-pulse input stream: the stream complement ``1 - p``.
+
+    State 1 is armed (no data pulse since the last clock), 0 disarmed.
     """
 
     INPUTS = (PortSpec("a", priority=0), PortSpec("clk", priority=1))
@@ -26,81 +28,50 @@ class Inverter(Element):
     ROLES = frozenset({CellRole.STORAGE, CellRole.CLOCKED})
     CLOCK_PORTS = ("clk",)
     jj_count = tech.JJ_INVERTER
-
-    def __init__(self, name: str, delay: int = tech.T_INV_FS):
-        super().__init__(name)
-        self.delay = delay
-        self._armed = True  # True -> no data pulse seen since last clock
-
-    def handle(self, sim, port, time):
-        if port == "a":
-            self._armed = False
-        else:  # clk
-            if self._armed:
-                self.emit(sim, "q", time + self.delay)
-            self._armed = True
-
-    def reset(self):
-        self._armed = True
+    DEFAULT_DELAY = tech.T_INV_FS
+    INITIAL = 1
+    TRANSITIONS = {
+        "a": ((0, ()), (0, ())),
+        "clk": ((1, ()), (1, ("q",))),
+    }
 
 
-class LastArrival(Element):
+class LastArrival(TableCell):
     """LA gate: one output pulse when *both* inputs have arrived.
 
     The Race-Logic ``max``: a Muller-C-style coincidence element that
     fires at the later of the two pulses; ``reset`` re-arms it for the
-    next epoch.
+    next epoch.  States: 0 none seen, 1 ``a`` seen, 2 ``b`` seen, 3 both
+    seen (fired).
     """
 
     INPUTS = (PortSpec("reset", priority=0), PortSpec("a", priority=1), PortSpec("b", priority=1))
     OUTPUTS = ("q",)
     ROLES = frozenset({CellRole.STORAGE})
     jj_count = tech.JJ_FA  # same SQUID complexity class as the FA gate
-
-    def __init__(self, name: str, delay: int = tech.T_FA_FS):
-        super().__init__(name)
-        self.delay = delay
-        self._seen = {"a": False, "b": False}
-        self._fired = False
-
-    def handle(self, sim, port, time):
-        if port == "reset":
-            self._seen = {"a": False, "b": False}
-            self._fired = False
-            return
-        self._seen[port] = True
-        if self._seen["a"] and self._seen["b"] and not self._fired:
-            self._fired = True
-            self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self._seen = {"a": False, "b": False}
-        self._fired = False
+    DEFAULT_DELAY = tech.T_FA_FS
+    TRANSITIONS = {
+        "reset": ((0, ()), (0, ()), (0, ()), (0, ())),
+        "a": ((1, ()), (1, ()), (3, ("q",)), (3, ())),
+        "b": ((2, ()), (3, ("q",)), (2, ()), (3, ())),
+    }
 
 
-class FirstArrival(Element):
+class FirstArrival(TableCell):
     """FA gate: one output pulse at the first input pulse after (re)arming.
 
     In Race Logic ``min(A, B)`` is simply the earlier of the two pulses
-    (Fig 2a); ``reset`` re-arms the gate for the next epoch.
+    (Fig 2a); ``reset`` re-arms the gate for the next epoch.  State 0 is
+    armed, 1 fired.
     """
 
     INPUTS = (PortSpec("reset", priority=0), PortSpec("a", priority=1), PortSpec("b", priority=1))
     OUTPUTS = ("q",)
     ROLES = frozenset({CellRole.STORAGE})
     jj_count = tech.JJ_FA
-
-    def __init__(self, name: str, delay: int = tech.T_FA_FS):
-        super().__init__(name)
-        self.delay = delay
-        self._armed = True
-
-    def handle(self, sim, port, time):
-        if port == "reset":
-            self._armed = True
-        elif self._armed:
-            self._armed = False
-            self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self._armed = True
+    DEFAULT_DELAY = tech.T_FA_FS
+    TRANSITIONS = {
+        "reset": ((0, ()), (0, ())),
+        "a": ((1, ("q",)), (1, ())),
+        "b": ((1, ("q",)), (1, ())),
+    }

@@ -3,16 +3,24 @@
 Used by the integrator-based memory cell (Fig 10d) to interleave its two
 buffers: while one buffer delays the previous epoch's pulse, the other
 accepts the current epoch's input.  Selection is flux-state based: a pulse
-on ``sel0``/``sel1`` steers subsequent data pulses to/from channel 0/1.
+on ``sel0``/``sel1`` steers subsequent data pulses to/from channel 0/1
+(the cell's state is the selected channel).
 """
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.models import technology as tech
-from repro.pulsesim.element import Element, PortSpec
+from repro.pulsesim.element import PortSpec, Row, TableCell
+
+_SELECT: Dict[str, Tuple[Row, ...]] = {
+    "sel0": ((0, ()), (0, ())),
+    "sel1": ((1, ()), (1, ())),
+}
 
 
-class Demux(Element):
+class Demux(TableCell):
     """1:2 demultiplexer: routes ``a`` pulses to ``q0`` or ``q1``."""
 
     INPUTS = (
@@ -22,25 +30,11 @@ class Demux(Element):
     )
     OUTPUTS = ("q0", "q1")
     jj_count = tech.JJ_DEMUX
-
-    def __init__(self, name: str, delay: int = tech.T_MUX_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.select = 0
-
-    def handle(self, sim, port, time):
-        if port == "sel0":
-            self.select = 0
-        elif port == "sel1":
-            self.select = 1
-        else:
-            self.emit(sim, "q0" if self.select == 0 else "q1", time + self.delay)
-
-    def reset(self):
-        self.select = 0
+    DEFAULT_DELAY = tech.T_MUX_FS
+    TRANSITIONS = {**_SELECT, "a": ((0, ("q0",)), (1, ("q1",)))}
 
 
-class Mux(Element):
+class Mux(TableCell):
     """2:1 multiplexer: passes the selected channel's pulses to ``q``."""
 
     INPUTS = (
@@ -51,19 +45,9 @@ class Mux(Element):
     )
     OUTPUTS = ("q",)
     jj_count = tech.JJ_MUX
-
-    def __init__(self, name: str, delay: int = tech.T_MUX_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.select = 0
-
-    def handle(self, sim, port, time):
-        if port == "sel0":
-            self.select = 0
-        elif port == "sel1":
-            self.select = 1
-        elif (port == "a0" and self.select == 0) or (port == "a1" and self.select == 1):
-            self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self.select = 0
+    DEFAULT_DELAY = tech.T_MUX_FS
+    TRANSITIONS = {
+        **_SELECT,
+        "a0": ((0, ("q",)), (1, ())),
+        "a1": ((0, ()), (1, ("q",))),
+    }

@@ -9,15 +9,17 @@ pulses coincide exactly (see :mod:`repro.pulsesim.element`):
   convention of Fig 3b.
 * ``Dff``: ``d`` < ``clk`` so a set in the same instant as the read is
   observed (conservative capture).
+
+State 1 means a stored flux quantum in every cell here.
 """
 
 from __future__ import annotations
 
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element, PortSpec
+from repro.pulsesim.element import CellRole, PortSpec, TableCell
 
 
-class Dff(Element):
+class Dff(TableCell):
     """Destructive-readout D flip-flop: ``d`` sets, ``clk`` reads & clears."""
 
     INPUTS = (PortSpec("d", priority=0), PortSpec("clk", priority=1))
@@ -25,25 +27,14 @@ class Dff(Element):
     ROLES = frozenset({CellRole.STORAGE, CellRole.CLOCKED})
     CLOCK_PORTS = ("clk",)
     jj_count = tech.JJ_DFF
-
-    def __init__(self, name: str, delay: int = tech.T_DFF_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.state = 0
-
-    def handle(self, sim, port, time):
-        if port == "d":
-            self.state = 1
-        else:  # clk
-            if self.state:
-                self.state = 0
-                self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self.state = 0
+    DEFAULT_DELAY = tech.T_DFF_FS
+    TRANSITIONS = {
+        "d": ((1, ()), (1, ())),
+        "clk": ((0, ()), (0, ("q",))),
+    }
 
 
-class Dff2(Element):
+class Dff2(TableCell):
     """Dual-readout DFF: ``a`` sets; ``c1``/``c2`` reset and pulse ``y1``/``y2``.
 
     This is the output-stage cell of the proposed balancer (Fig 6b): each
@@ -60,25 +51,15 @@ class Dff2(Element):
     ROLES = frozenset({CellRole.STORAGE, CellRole.CLOCKED})
     CLOCK_PORTS = ("c1", "c2")
     jj_count = tech.JJ_DFF2
-
-    def __init__(self, name: str, delay: int = tech.T_DFF2_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.state = 0
-
-    def handle(self, sim, port, time):
-        if port == "a":
-            self.state = 1
-        elif self.state:
-            self.state = 0
-            output = "y1" if port == "c1" else "y2"
-            self.emit(sim, output, time + self.delay)
-
-    def reset(self):
-        self.state = 0
+    DEFAULT_DELAY = tech.T_DFF2_FS
+    TRANSITIONS = {
+        "a": ((1, ()), (1, ())),
+        "c1": ((0, ()), (0, ("y1",))),
+        "c2": ((0, ()), (0, ("y2",))),
+    }
 
 
-class Ndro(Element):
+class Ndro(TableCell):
     """Non-destructive readout cell.
 
     ``set``/``reset`` write the SQUID; ``clk`` reads without altering the
@@ -96,23 +77,9 @@ class Ndro(Element):
     ROLES = frozenset({CellRole.STORAGE, CellRole.CLOCKED})
     CLOCK_PORTS = ("clk",)
     jj_count = tech.JJ_NDRO
-
-    def __init__(self, name: str, delay: int = tech.T_NDRO_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.state = 0
-        self.reads = 0
-
-    def handle(self, sim, port, time):
-        if port == "set":
-            self.state = 1
-        elif port == "reset":
-            self.state = 0
-        else:  # clk
-            self.reads += 1
-            if self.state:
-                self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self.state = 0
-        self.reads = 0
+    DEFAULT_DELAY = tech.T_NDRO_FS
+    TRANSITIONS = {
+        "set": ((1, ()), (1, ())),
+        "reset": ((0, ()), (0, ())),
+        "clk": ((0, ()), (1, ("q",))),
+    }

@@ -9,10 +9,10 @@ uniform rate" (Fig 9b).
 from __future__ import annotations
 
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element
+from repro.pulsesim.element import CellRole, TableCell
 
 
-class Tff(Element):
+class Tff(TableCell):
     """Toggle flip-flop used as a frequency divider.
 
     Emits one output pulse for every *second* input pulse (on the pulse
@@ -23,22 +23,11 @@ class Tff(Element):
     OUTPUTS = ("q",)
     ROLES = frozenset({CellRole.STORAGE})
     jj_count = tech.JJ_TFF
-
-    def __init__(self, name: str, delay: int = tech.T_TFF_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.state = 0
-
-    def handle(self, sim, port, time):
-        self.state ^= 1
-        if self.state == 0:
-            self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self.state = 0
+    DEFAULT_DELAY = tech.T_TFF_FS
+    TRANSITIONS = {"a": ((1, ()), (0, ("q",)))}
 
 
-class Tff2(Element):
+class Tff2(TableCell):
     """Dual-port toggle flip-flop: input pulses alternate between ``q1``
     and ``q2``, starting with ``q1``."""
 
@@ -46,16 +35,5 @@ class Tff2(Element):
     OUTPUTS = ("q1", "q2")
     ROLES = frozenset({CellRole.STORAGE})
     jj_count = tech.JJ_TFF2
-
-    def __init__(self, name: str, delay: int = tech.T_TFF_FS):
-        super().__init__(name)
-        self.delay = delay
-        self.state = 0
-
-    def handle(self, sim, port, time):
-        output = "q1" if self.state == 0 else "q2"
-        self.state ^= 1
-        self.emit(sim, output, time + self.delay)
-
-    def reset(self):
-        self.state = 0
+    DEFAULT_DELAY = tech.T_TFF_FS
+    TRANSITIONS = {"a": ((1, ("q1",)), (0, ("q2",)))}

@@ -28,7 +28,7 @@ from repro.encoding.epoch import EpochSpec
 from repro.errors import ConfigurationError
 from repro.models import technology as tech
 from repro.pulsesim.block import Block
-from repro.pulsesim.element import Element, PortSpec
+from repro.pulsesim.element import PortSpec, TableCell
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.simulator import Simulator
 
@@ -67,12 +67,13 @@ def _check(*slots: int) -> None:
 
 
 # -- structural cells -----------------------------------------------------------
-class Inhibit(Element):
+class Inhibit(TableCell):
     """Inhibit gate: output = A if A arrives strictly before B.
 
     A pulse on ``b`` poisons the gate for the rest of the epoch; ``reset``
     re-arms it.  (Built in RSFQ from an NDRO with the inverter-style
-    blocking input; modelled behaviourally at the same JJ scale.)
+    blocking input; modelled behaviourally at the same JJ scale.)  State
+    0 is armed; 1 is dead (blocked by ``b`` or already fired).
     """
 
     INPUTS = (
@@ -82,26 +83,12 @@ class Inhibit(Element):
     )
     OUTPUTS = ("q",)
     jj_count = tech.JJ_NDRO
-
-    def __init__(self, name: str, delay: int = tech.T_NDRO_FS):
-        super().__init__(name)
-        self.delay = delay
-        self._blocked = False
-        self._fired = False
-
-    def handle(self, sim, port, time):
-        if port == "reset":
-            self._blocked = False
-            self._fired = False
-        elif port == "b":
-            self._blocked = True
-        elif not self._blocked and not self._fired:
-            self._fired = True
-            self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self._blocked = False
-        self._fired = False
+    DEFAULT_DELAY = tech.T_NDRO_FS
+    TRANSITIONS = {
+        "reset": ((0, ()), (0, ())),
+        "b": ((1, ()), (1, ())),
+        "a": ((1, ("q",)), (1, ())),
+    }
 
 
 def build_delay_chain(circuit: Circuit, name: str, n_slots: int, slot_fs: int) -> Block:

@@ -14,6 +14,10 @@ leading batch axis of ``B`` independent lanes:
   lanes the event exists in.  Cell state lives in NumPy arrays indexed
   ``[state_row, lane]``, so each opcode updates all masked lanes with a
   handful of vector operations instead of ``B`` interpreter dispatches.
+  Table cells compile by the same row shapes as the scalar sealed
+  kernel: a store is ``state[s][mask] = c``, a guarded emit computes one
+  fire mask, and the general table op splits the mask by state and
+  moves each part to its next state.
 
   *Soundness*: restricting the master order to any one lane yields a
   valid scalar ``(time, priority, sequence)`` order.  Entries are pushed
@@ -27,9 +31,10 @@ leading batch axis of ``B`` independent lanes:
   copies of the same scalar event or ordered identically.
 
 * **Analytic closed form** (feed-forward fast path).  When every cell is
-  a JTL, splitter, or zero-dead-time merger — the paper's Race-Logic and
-  pulse-stream interconnect fabrics — the response to one stimulus pulse
-  is a fixed, state-independent tree of arrivals.  The compiler folds each
+  a one-state table cell (JTL, splitter) or a zero-dead-time merger — the
+  paper's Race-Logic and pulse-stream interconnect fabrics — the
+  response to one stimulus pulse is a fixed, state-independent tree of
+  arrivals.  The compiler folds each
   ``(element, input port)`` into a :class:`_Profile` (events spawned,
   pulses emitted, latest-arrival offset, per-probe delay multisets) and
   ``run()`` reduces whole stimulus chunks with ``bincount``/``maximum``
@@ -70,29 +75,27 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.pulsesim.element import Element
+from repro.pulsesim.element import Element, TableCell
 from repro.pulsesim.netlist import Circuit
 
 #: Packed sort keys are ``priority * _SEQ_SPAN + sequence`` exactly like
 #: the scalar sealed kernel, so priority ordering is preserved.
 _SEQ_SPAN = 1 << 48
 
-# Batch opcode kinds.  Layouts (op is a plain list):
-_B_CALL = 0  # [0, element, port]                     generic cell, per-lane clones
-_B_DELAY = 1  # [1, dq, taps, rows]                    JTL
-_B_MERGER = 2  # [2, midx, dead, dq, taps, rows]        merger (dead time)
-_B_MULTI = 3  # [3, emissions]                         splitter
-_B_SET = 4  # [4, sidx]                              state <- 1
-_B_CLR = 5  # [5, sidx]                              state <- 0
-_B_NDRO = 6  # [6, sidx, ridx, dq, taps, rows]        NDRO clk
-_B_TFF = 7  # [7, sidx, dq, taps, rows]              TFF a
-_B_DFF = 8  # [8, sidx, dq, taps, rows]              DFF clk / DFF2 c1,c2
-_B_INV = 9  # [9, sidx, dq, taps, rows]              inverter clk
-_B_DISARM = 10  # [10, sidx]                            inverter a
-_B_TFF2 = 11  # [11, sidx, emission_q1, emission_q2]  TFF2 a
-_B_DROP = 12  # [12, fidx, taps, rows]                 DropChannel a
-_B_JITTER = 13  # [13, fidx, taps, rows]                 JitterChannel a
-_B_BAL = 14  # [14, bidx, port_bit, t_bff, coinc, em1, em2]  balancer a/b
+# Batch opcode kinds.  Table-cell ports use the same shapes as the scalar
+# sealed compiler (:func:`~repro.pulsesim.element.table_shape`).
+# Layouts (op is a plain list):
+_B_CALL = 0  # [0, element, port]                  generic cell, per-lane clones
+_B_DELAY = 1  # [1, dq, taps, rows]                 one state, one output
+_B_MERGER = 2  # [2, midx, dead, dq, taps, rows]     merger (dead time)
+_B_MULTI = 3  # [3, emissions]                      one state, 0 or 2+ outputs
+_B_STORE = 4  # [4, sidx, state]                    no output, state <- constant
+_B_GUARD = 5  # [5, sidx, fire, fire_next, other_next, dq, taps, rows]
+#               (fire_next resolved: never None, unlike the sealed GUARD)
+_B_TABLE = 6  # [6, sidx, ((next_state, emissions), ...)]  per-state rows
+_B_DROP = 7  # [7, fidx, taps, rows]                DropChannel a
+_B_JITTER = 8  # [8, fidx, taps, rows]                JitterChannel a
+_B_BAL = 9  # [9, bidx, port_bit, t_bff, coinc, em1, em2]  balancer a/b
 
 #: Analytic-mode guards: a splitter tree doubles per level, so profiles
 #: cap the per-arrival tap fanout and event count; circuits past the cap
@@ -147,8 +150,8 @@ class BatchProgram:
             every probed port.
         tap_keys: ``(element, port)`` per recording index.
         state_init: uint8 initial value per unified-state row.
-        n_reads / n_mergers: row counts of the NDRO-reads and merger
-            (last-accept, collisions) arrays.
+        n_mergers: row count of the merger (last-accept, collisions)
+            arrays.
         n_balancers: row count of the balancer Mealy-state arrays
             (toggle state, last arrival, pair-open flag, hazard count).
         fault_specs: ``("drop"|"jitter", element)`` per fault index.
@@ -167,7 +170,6 @@ class BatchProgram:
         "tap_index",
         "tap_keys",
         "state_init",
-        "n_reads",
         "n_mergers",
         "n_balancers",
         "fault_specs",
@@ -182,34 +184,51 @@ def _classify(element: Element) -> str:
     """Opcode family for ``element``, by handle-function identity.
 
     Mirrors the scalar sealed compiler: subclasses inheriting a standard
-    ``handle`` (e.g. ``IdealMerger``) vectorize; overriding ``handle`` or
-    ``emit`` falls back to the generic per-lane-clone path.
+    ``handle`` (every :class:`TableCell`, ``IdealMerger``) vectorize;
+    overriding ``handle`` or ``emit`` falls back to the generic
+    per-lane-clone path.
     """
-    from repro.cells.interconnect import Jtl, Merger, Splitter
-    from repro.cells.logic import Inverter
-    from repro.cells.storage import Dff, Dff2, Ndro
-    from repro.cells.toggle import Tff, Tff2
+    from repro.cells.interconnect import Merger
     from repro.core.balancer import Balancer
     from repro.pulsesim.faults import DropChannel, JitterChannel
 
     if type(element).emit is not Element.emit:
         return "generic"
-    handle = type(element).handle
     table = {
-        Jtl.handle: "jtl",
-        Splitter.handle: "splitter",
+        TableCell.handle: "table",
         Merger.handle: "merger",
-        Ndro.handle: "ndro",
-        Dff.handle: "dff",
-        Dff2.handle: "dff2",
-        Tff.handle: "tff",
-        Tff2.handle: "tff2",
-        Inverter.handle: "inverter",
         DropChannel.handle: "drop",
         JitterChannel.handle: "jitter",
         Balancer.handle: "balancer",
     }
-    return table.get(handle, "generic")
+    return table.get(type(element).handle, "generic")
+
+
+def _table_op(element: TableCell, port: str, s: int, emission) -> list:
+    """Masked op for one table-cell port (state row ``s``)."""
+    shape = element._shapes[port]
+    kind = shape[0]
+    if kind == "fanout":
+        outputs = shape[1]
+        if len(outputs) == 1:
+            return [_B_DELAY, *emission(element, outputs[0])]
+        return [_B_MULTI, tuple(emission(element, out) for out in outputs)]
+    if kind == "store":
+        return [_B_STORE, s, shape[1]]
+    if kind == "guard":
+        _kind, fire, output, fire_next, other_next = shape
+        return [
+            _B_GUARD, s, fire, fire if fire_next is None else fire_next,
+            other_next, *emission(element, output),
+        ]
+    return [
+        _B_TABLE,
+        s,
+        tuple(
+            (nxt, tuple(emission(element, out) for out in outputs))
+            for nxt, outputs in element.TRANSITIONS[port]
+        ),
+    ]
 
 
 def compile_batch(circuit: Circuit) -> BatchProgram:
@@ -260,7 +279,6 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
     state_map: Dict[int, tuple] = {}
     fault_specs: List[Tuple[str, Element]] = []
     generic: List[Element] = []
-    n_reads = 0
     n_mergers = 0
     n_balancers = 0
     emit_tables: Dict[int, dict] = {}
@@ -269,16 +287,21 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
     for element in circuit.elements:
         eid = id(element)
         kind = _classify(element)
+        if kind == "table" and len(next(iter(element.TRANSITIONS.values()))) == 1:
+            kind = "fanout"  # one-state table: no state row, analytic-eligible
         kinds[eid] = kind
         emit_tables[eid] = {
             port: (taps_of(element, port), rows_of(element, port, 0))
             for port in element.output_names
         }
-        if kind == "jtl":
-            op_of(element, "a")[:] = [_B_DELAY, *emission(element, "q")]
-        elif kind == "splitter":
-            op = [_B_MULTI, (emission(element, "q1"), emission(element, "q2"))]
-            op_of(element, "a")[:] = op
+        if kind in ("table", "fanout"):
+            s = -1
+            if kind == "table":
+                s = len(state_init)
+                state_init.append(element.INITIAL)
+                state_map[eid] = (("state", "u8", s),)
+            for port in element.input_names:
+                op_of(element, port)[:] = _table_op(element, port, s, emission)
         elif kind == "merger":
             m = n_mergers
             n_mergers += 1
@@ -289,49 +312,6 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
                 ("collisions", "mcoll", m),
                 ("_last_accept", "mlast", m),
             )
-        elif kind == "ndro":
-            s = len(state_init)
-            state_init.append(0)
-            r = n_reads
-            n_reads += 1
-            op_of(element, "set")[:] = [_B_SET, s]
-            op_of(element, "reset")[:] = [_B_CLR, s]
-            op_of(element, "clk")[:] = [_B_NDRO, s, r, *emission(element, "q")]
-            state_map[eid] = (("state", "u8", s), ("reads", "reads", r))
-        elif kind == "dff":
-            s = len(state_init)
-            state_init.append(0)
-            op_of(element, "d")[:] = [_B_SET, s]
-            op_of(element, "clk")[:] = [_B_DFF, s, *emission(element, "q")]
-            state_map[eid] = (("state", "u8", s),)
-        elif kind == "dff2":
-            s = len(state_init)
-            state_init.append(0)
-            op_of(element, "a")[:] = [_B_SET, s]
-            op_of(element, "c1")[:] = [_B_DFF, s, *emission(element, "y1")]
-            op_of(element, "c2")[:] = [_B_DFF, s, *emission(element, "y2")]
-            state_map[eid] = (("state", "u8", s),)
-        elif kind == "tff":
-            s = len(state_init)
-            state_init.append(0)
-            op_of(element, "a")[:] = [_B_TFF, s, *emission(element, "q")]
-            state_map[eid] = (("state", "u8", s),)
-        elif kind == "tff2":
-            s = len(state_init)
-            state_init.append(0)
-            op_of(element, "a")[:] = [
-                _B_TFF2,
-                s,
-                emission(element, "q1"),
-                emission(element, "q2"),
-            ]
-            state_map[eid] = (("state", "u8", s),)
-        elif kind == "inverter":
-            s = len(state_init)
-            state_init.append(1)  # armed until an `a` pulse disarms
-            op_of(element, "a")[:] = [_B_DISARM, s]
-            op_of(element, "clk")[:] = [_B_INV, s, *emission(element, "q")]
-            state_map[eid] = (("_armed", "bool", s),)
         elif kind == "balancer":
             b = n_balancers
             n_balancers += 1
@@ -387,7 +367,6 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
     prog.tap_index = tap_index
     prog.tap_keys = tap_keys
     prog.state_init = np.asarray(state_init, dtype=np.uint8)
-    prog.n_reads = n_reads
     prog.n_mergers = n_mergers
     prog.n_balancers = n_balancers
     prog.fault_specs = fault_specs
@@ -395,7 +374,7 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
     prog.state_map = state_map
 
     prog.analytic = all(
-        kind in ("jtl", "splitter")
+        kind == "fanout"
         or (kind == "merger" and element.dead_time == 0)
         for element, kind in zip(circuit.elements, kinds.values())
     ) and bool(circuit.elements)
@@ -439,7 +418,7 @@ def _build_profiles(circuit, kinds, tap_index):
         kind = kinds[id(el)]
         if kind == "merger":
             mergers[merger_index[id(el)]] = 0
-        outs = ("q1", "q2") if kind == "splitter" else ("q",)
+        outs = ("q",) if kind == "merger" else el.TRANSITIONS[port][0][1]
         for out in outs:
             dq = el.delay
             pulses += 1
@@ -621,7 +600,6 @@ class BatchSimulator:
         self._state = np.repeat(prog.state_init[:, None], B, axis=1)
         if n_state == 0:
             self._state = self._state.reshape(0, B)
-        self._reads = np.zeros((prog.n_reads, B), dtype=np.int64)
         self._mlast = np.full((prog.n_mergers, B), -1, dtype=np.int64)
         self._mcoll = np.zeros((prog.n_mergers, B), dtype=np.int64)
         nb = prog.n_balancers
@@ -941,49 +919,30 @@ class BatchSimulator:
                     if accept.any():
                         last[accept] = t
                         self._emit(t, dq, taps, rows, accept)
-                elif kind == _B_SET:
-                    state[op[1]][mask] = 1
-                elif kind == _B_CLR:
-                    state[op[1]][mask] = 0
-                elif kind == _B_NDRO:
-                    _c, s, r, dq, taps, rows = op
-                    self._reads[r] += mask
-                    fire = mask & (state[s] == 1)
+                elif kind == _B_STORE:
+                    state[op[1]][mask] = op[2]
+                elif kind == _B_GUARD:
+                    _c, s, fire_state, fire_next, other_next, dq, taps, rows = op
+                    st = state[s]
+                    fire = mask & (st == fire_state)
+                    if other_next is not None:
+                        st[mask] = other_next
+                        if fire_next != other_next:
+                            st[fire] = fire_next
+                    elif fire_next != fire_state:
+                        st[fire] = fire_next
                     if fire.any():
                         self._emit(t, dq, taps, rows, fire)
-                elif kind == _B_TFF:
-                    _c, s, dq, taps, rows = op
-                    st = state[s]
-                    st[mask] ^= 1
-                    fire = mask & (st == 0)
-                    if fire.any():
-                        self._emit(t, dq, taps, rows, fire)
-                elif kind == _B_DFF:
-                    _c, s, dq, taps, rows = op
-                    st = state[s]
-                    fire = mask & (st == 1)
-                    if fire.any():
-                        st[fire] = 0
-                        self._emit(t, dq, taps, rows, fire)
-                elif kind == _B_INV:
-                    _c, s, dq, taps, rows = op
-                    st = state[s]
-                    fire = mask & (st == 1)
-                    st[mask] = 1
-                    if fire.any():
-                        self._emit(t, dq, taps, rows, fire)
-                elif kind == _B_DISARM:
-                    state[op[1]][mask] = 0
-                elif kind == _B_TFF2:
-                    _c, s, em1, em2 = op
-                    st = state[s]
-                    m1 = mask & (st == 0)
-                    m2 = mask & (st == 1)
-                    st[mask] ^= 1
-                    if m1.any():
-                        self._emit(t, em1[0], em1[1], em1[2], m1)
-                    if m2.any():
-                        self._emit(t, em2[0], em2[1], em2[2], m2)
+                elif kind == _B_TABLE:
+                    # Split the mask by state before any lane moves on.
+                    st = state[op[1]]
+                    splits = [mask & (st == v) for v in range(len(op[2]))]
+                    for v, ((nxt, emissions), sub) in enumerate(zip(op[2], splits)):
+                        if sub.any():
+                            if nxt != v:
+                                st[sub] = nxt
+                            for dq, taps, rows in emissions:
+                                self._emit(t, dq, taps, rows, sub)
                 elif kind == _B_BAL:
                     # Vectorized balancer Mealy machine (repro.core.
                     # balancer._MealyRouter.route, lane-parallel).  The
@@ -1152,10 +1111,6 @@ class BatchSimulator:
                 continue
             if kind == "u8":
                 return int(self._state[idx, lane])
-            if kind == "bool":
-                return bool(self._state[idx, lane])
-            if kind == "reads":
-                return int(self._reads[idx, lane])
             if kind == "mlast":
                 value = int(self._mlast[idx, lane])
                 return None if value < 0 else value

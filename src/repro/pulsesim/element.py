@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import NetlistError
 
@@ -77,7 +77,10 @@ class Element:
     Subclasses declare ``INPUTS`` and ``OUTPUTS`` as tuples of port names or
     :class:`PortSpec` objects, set :attr:`jj_count`, and implement
     :meth:`handle`.  State must live on the instance and be cleared by
-    :meth:`reset` so a circuit can be re-simulated.
+    :meth:`reset` so a circuit can be re-simulated.  A cell whose
+    behaviour is a finite-state machine derives from :class:`TableCell`
+    instead and declares its transition table, which every kernel runs
+    inline.
     """
 
     INPUTS: Tuple = ()
@@ -182,3 +185,110 @@ class Element:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+#: One transition-table row: ``(next_state, output ports pulsed)``.
+Row = Tuple[int, Tuple[str, ...]]
+
+
+class TableCell(Element):
+    """A cell whose behaviour is a finite-state machine over one int state.
+
+    Subclasses declare ``TRANSITIONS = {input_port: rows}`` with one
+    :data:`Row` per state: a pulse on ``input_port`` while the cell is in
+    state ``s`` moves it to ``rows[s][0]`` and emits one pulse on each
+    port of ``rows[s][1]``, in order, ``delay`` femtoseconds later
+    (emission order breaks same-time ties downstream).  The cell starts
+    (and :meth:`reset` returns it) in state ``INITIAL``.  ``DEFAULT_DELAY``
+    is the constructor's default ``delay``.
+
+    :meth:`handle` interprets the table, which makes it the reference
+    semantics; the sealed and batch compilers read the same table and run
+    the cell inline, so each cell's behaviour is written exactly once.
+    """
+
+    TRANSITIONS: Dict[str, Tuple[Row, ...]] = {}
+    INITIAL = 0
+    DEFAULT_DELAY = 0
+    #: ``port -> table_shape(rows)``, computed once at class definition
+    #: (the compilers look it up for every cell of every compile).
+    _shapes: Dict[str, tuple] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        table = cls.__dict__.get("TRANSITIONS")
+        if table is None:
+            return
+        inputs = {cls._as_spec(port).name for port in cls.INPUTS}
+        outputs = {cls._as_spec(port).name for port in cls.OUTPUTS}
+        states = {len(rows) for rows in table.values()}
+        valid = (
+            set(table) == inputs
+            and len(states) == 1
+            and 0 <= cls.INITIAL < min(states)
+            and all(
+                0 <= nxt < len(rows) and set(outs) <= outputs
+                for rows in table.values()
+                for nxt, outs in rows
+            )
+        )
+        if not valid:
+            raise NetlistError(
+                f"{cls.__name__}.TRANSITIONS must give every input port one "
+                "(next_state, outputs) row per state, with next states in "
+                "range and outputs among OUTPUTS"
+            )
+        cls._shapes = {port: table_shape(rows) for port, rows in table.items()}
+
+    def __init__(self, name: str, delay: Optional[int] = None):
+        super().__init__(name)
+        self.delay = type(self).DEFAULT_DELAY if delay is None else delay
+        self.state = self.INITIAL
+
+    def handle(self, sim: "Simulator", port: str, time: int) -> None:
+        self.state, outputs = self.TRANSITIONS[port][self.state]
+        for output in outputs:
+            self.emit(sim, output, time + self.delay)
+
+    def reset(self) -> None:
+        self.state = self.INITIAL
+
+
+def table_shape(rows: Tuple[Row, ...]) -> tuple:
+    """Classify one port's rows into the shape the fast kernels compile.
+
+    * ``("fanout", outputs)``: one state; every pulse emits ``outputs``.
+    * ``("store", state)``: no output; every state moves to ``state``.
+    * ``("guard", state, output, fire_next, other_next)``: only ``state``
+      emits, on the single port ``output``; a firing pulse moves to
+      ``fire_next`` and any other pulse to ``other_next``, where None
+      means the state is left unchanged.
+    * ``("table",)``: anything else (state-dependent outputs or next
+      states).
+    """
+    if len(rows) == 1:
+        return ("fanout", rows[0][1])
+    emitting = [state for state, (_next, outputs) in enumerate(rows) if outputs]
+    if not emitting and len({nxt for nxt, _outputs in rows}) == 1:
+        return ("store", rows[0][0])
+    if len(emitting) == 1 and len(rows[emitting[0]][1]) == 1:
+        fire = emitting[0]
+        fire_next, (output,) = rows[fire]
+        others = [
+            (state, nxt) for state, (nxt, _outputs) in enumerate(rows)
+            if state != fire
+        ]
+        if all(state == nxt for state, nxt in others):
+            other_next = None
+        elif len({nxt for _state, nxt in others}) == 1:
+            other_next = others[0][1]
+        else:
+            return ("table",)
+        return (
+            "guard",
+            fire,
+            output,
+            None if fire_next == fire else fire_next,
+            other_next,
+        )
+    return ("table",)

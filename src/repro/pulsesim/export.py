@@ -22,9 +22,11 @@ generated netlists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+import numbers
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Type
 
-from repro.errors import NetlistError
+from repro.errors import NetlistError, ReproError
 from repro.pulsesim.element import Element
 from repro.pulsesim.netlist import Circuit
 
@@ -157,6 +159,38 @@ def _split_endpoint(reference: str, names: Dict[str, Element]) -> tuple:
             return names[name], port
 
 
+def _check_delay(value, where: str) -> None:
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < 0:
+        raise NetlistError(
+            f"cannot import {where}: delay must be a non-negative integer "
+            f"number of femtoseconds, got {value!r}"
+        )
+
+
+@contextmanager
+def _entry(where: str) -> Iterator[None]:
+    """Re-raise a malformed entry's raw error as a :class:`NetlistError`
+    naming the entry."""
+    try:
+        yield
+    except NetlistError:
+        raise
+    except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise NetlistError(
+            f"cannot import {where}: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _entries(description: Dict, key: str) -> list:
+    entries = description[key]
+    if not isinstance(entries, list):
+        raise NetlistError(
+            f"netlist {key!r} must be a list, got {type(entries).__name__}"
+        )
+    return entries
+
+
 def import_netlist(
     description: Dict,
     registry: Optional[Dict[str, Type[Element]]] = None,
@@ -172,51 +206,65 @@ def import_netlist(
     observers and raise — a description containing them is a snapshot of a
     *traced* run, not an archivable netlist.
 
-    Raises :class:`~repro.errors.NetlistError` for unknown cell types,
-    cells exported without ``params``, unknown probe types, or malformed
-    wire endpoints.  Round trip:
-    ``netlist_description(import_netlist(d)) == d``.
+    The description is untrusted input (shard workers rebuild their piece
+    through it): a malformed document — unknown cell types, cells exported
+    without ``params``, constructor arguments the cell rejects, a cell
+    ``delay`` or wire ``delay_fs`` that is not a non-negative integer,
+    unknown probe types, malformed wire endpoints, or entries of the wrong
+    shape — raises :class:`~repro.errors.NetlistError` naming the bad
+    entry.  Round trip: ``netlist_description(import_netlist(d)) == d``.
     """
     from repro.pulsesim.probe import PulseRecorder, WaveformProbe
 
     registry = registry if registry is not None else default_cell_registry()
-    circuit = Circuit(description["name"])
-    for cell in description["cells"]:
-        kind = cell["type"]
-        try:
-            factory = registry[kind]
-        except KeyError:
-            known = ", ".join(sorted(registry))
-            raise NetlistError(
-                f"cannot import cell {cell['name']!r}: unknown type {kind!r} "
-                f"(registry knows: {known})"
-            ) from None
-        if "params" not in cell:
-            raise NetlistError(
-                f"cannot import cell {cell['name']!r}: the description "
-                "carries no constructor params (the exporting cell did not "
-                "implement params())"
-            )
-        circuit.add(factory(cell["name"], **cell["params"]))
-    for wire in description["wires"]:
-        source, source_port = _split_endpoint(wire["from"], circuit._names)
-        sink, sink_port = _split_endpoint(wire["to"], circuit._names)
-        circuit.connect(source, source_port, sink, sink_port,
-                        delay=wire["delay_fs"])
+    with _entry("the description"):
+        circuit = Circuit(description["name"])
+        cells = _entries(description, "cells")
+        wires = _entries(description, "wires")
+        probes = _entries(description, "probes")
+    for index, cell in enumerate(cells):
+        with _entry(f"cells[{index}]"):
+            kind = cell["type"]
+            try:
+                factory = registry[kind]
+            except KeyError:
+                known = ", ".join(sorted(registry))
+                raise NetlistError(
+                    f"cannot import cell {cell['name']!r}: unknown type "
+                    f"{kind!r} (registry knows: {known})"
+                ) from None
+            if "params" not in cell:
+                raise NetlistError(
+                    f"cannot import cell {cell['name']!r}: the description "
+                    "carries no constructor params (the exporting cell did "
+                    "not implement params())"
+                )
+            params = cell["params"]
+            if "delay" in params:
+                _check_delay(params["delay"], f"cell {cell['name']!r}")
+            circuit.add(factory(cell["name"], **params))
+    for index, wire in enumerate(wires):
+        with _entry(f"wires[{index}]"):
+            source, source_port = _split_endpoint(wire["from"], circuit._names)
+            sink, sink_port = _split_endpoint(wire["to"], circuit._names)
+            _check_delay(wire["delay_fs"], f"wire {wire['from']} -> {wire['to']}")
+            circuit.connect(source, source_port, sink, sink_port,
+                            delay=wire["delay_fs"])
     probe_factories = {
         "PulseRecorder": PulseRecorder,
         "WaveformProbe": WaveformProbe,
     }
-    for probe in description["probes"]:
-        element, port = _split_endpoint(probe["port"], circuit._names)
-        try:
-            factory = probe_factories[probe["type"]]
-        except KeyError:
-            raise NetlistError(
-                f"cannot import probe on {probe['port']}: type "
-                f"{probe['type']!r} is not a reconstructible recorder"
-            ) from None
-        circuit.probe(element, port, probe=factory(probe["label"]))
+    for index, probe in enumerate(probes):
+        with _entry(f"probes[{index}]"):
+            element, port = _split_endpoint(probe["port"], circuit._names)
+            try:
+                factory = probe_factories[probe["type"]]
+            except KeyError:
+                raise NetlistError(
+                    f"cannot import probe on {probe['port']}: type "
+                    f"{probe['type']!r} is not a reconstructible recorder"
+                ) from None
+            circuit.probe(element, port, probe=factory(probe["label"]))
     return circuit
 
 

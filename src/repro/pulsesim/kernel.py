@@ -16,11 +16,18 @@ once per netlist:
   ``cell delay + wire delay`` offsets, the bound ``record`` methods of any
   probes on the output (empty for unprobed ports, so probe notification
   costs nothing there), and direct references to each sink's own program.
-  The standard cell library (JTL, splitter, merger, NDRO, DFF, DFF2, TFF,
-  TFF2, inverter) compiles to dedicated opcodes the run loop executes
-  without a single Python method call; anything else — custom cells,
-  fault-injection channels — compiles to a generic *call* opcode that
-  invokes the cell's ``handle`` exactly like the reference loop.
+  Every :class:`~repro.pulsesim.element.TableCell` (the finite-state
+  cells: JTL, splitter, NDRO, DFF/DFF2, TFF/TFF2, inverter, FA/LA, BFF,
+  mux/demux, clocked gates, inhibit) and the merger run inline, without
+  a single Python method call.  A table port compiles by the shape of
+  its rows: one state with one output -> the ``DELAY*`` programs, one
+  state otherwise -> ``MULTI``; no output and one common next state ->
+  ``STORE``; one output from exactly one state -> ``GUARD``; anything
+  else -> the general ``TABLE`` opcode.  Matching the shape keeps the
+  common cells as cheap as hand-written opcodes.  Anything else —
+  custom ``handle`` overrides, timed cells, fault-injection channels —
+  compiles to a generic *call* opcode that invokes the cell's
+  ``handle`` exactly like the reference loop.
 
   Programs are mutable lists patched *in place* on recompile (e.g. when a
   probe is attached after events were scheduled), so queued events can
@@ -76,10 +83,10 @@ from __future__ import annotations
 import os
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.pulsesim.element import Element
+from repro.pulsesim.element import Element, TableCell
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.simulator import (
     SimulationStats,
@@ -100,23 +107,19 @@ _SEQ_SPAN = 1 << 48
 
 _INF = float("inf")
 
-# Opcode kinds.  The run loop dispatches on these with a two-level compare
-# chain (``kind <= 5`` first), so the numbering groups the hottest opcodes
-# for the fewest comparisons.
-_OP_CALL = 0  # [0, handle, port]                      generic cell
-_OP_DELAY1 = 1  # [1, kb, dly, nop]                      JTL, 1 wire, unprobed
-_OP_MERGER = 2  # [2, cell, dead, dq, taps, rows]        merger (dead time)
-_OP_MULTI = 3  # [3, emissions]                         splitter
-_OP_STORE1 = 4  # [4, cell]                              state = 1
-_OP_STORE0 = 5  # [5, cell]                              state = 0
-_OP_NDRO = 6  # [6, cell, dq, taps, rows]              NDRO clk
-_OP_TFF = 7  # [7, cell, dq, taps, rows]              TFF a
-_OP_DELAY1T = 8  # [8, dq, taps, kb, dly, nop]            JTL, 1 wire, probed
-_OP_DELAYN = 9  # [9, dq, taps, rows]                    JTL, general fanout
-_OP_INV = 10  # [10, cell, dq, taps, rows]             inverter clk
-_OP_DISARM = 11  # [11, cell]                             inverter a
-_OP_DFF = 12  # [12, cell, dq, taps, rows]             DFF clk / DFF2 c1,c2
-_OP_TFF2 = 13  # [13, cell, emission_q1, emission_q2]   TFF2 a
+# Opcode kinds, numbered in the run loop's compare order: the opcodes
+# hottest on the shipped workloads (JTL delays, NDRO/inverter clocks,
+# balancer calls, mergers) are tested first.  Table-cell ports pick theirs
+# by row shape (see the module docstring and ``element.table_shape``).
+_OP_DELAY1 = 0  # [0, kb, dly, nop]                   1 output, 1 wire, unprobed
+_OP_GUARD = 1  # [1, cell, fire, fire_next, other_next, dq, taps, rows]
+_OP_CALL = 2  # [2, handle, port]                    generic cell
+_OP_MERGER = 3  # [3, cell, dead, dq, taps, rows]     merger (dead time)
+_OP_MULTI = 4  # [4, emissions]                      one state, 0 or 2+ outputs
+_OP_STORE = 5  # [5, cell, state]                    no output, state <- constant
+_OP_DELAYN = 6  # [6, dq, taps, rows]                 1 output, 0 or 2+ wires
+_OP_DELAY1T = 7  # [7, dq, taps, kb, dly, nop]         1 output, 1 wire, probed
+_OP_TABLE = 8  # [8, cell, ((next_state, emissions), ...)]  per-state rows
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
@@ -217,20 +220,39 @@ def _emission(circuit: Circuit, cell: Element, out_port: str) -> tuple:
     )
 
 
-def _compile_jtl(cell, port, circuit):
-    dq, taps, rows = _emission(circuit, cell, "q")
-    if len(rows) == 1:
-        kb, dly, nop = rows[0]
-        if not taps:
-            return [_OP_DELAY1, kb, dly, nop]
-        return [_OP_DELAY1T, dq, taps, kb, dly, nop]
-    return [_OP_DELAYN, dq, taps, rows]
-
-
-def _compile_splitter(cell, port, circuit):
+def _compile_table(cell, port, circuit):
+    """Match one port's transition rows to the cheapest opcode shape."""
+    shape = cell._shapes[port]
+    kind = shape[0]
+    if kind == "fanout":
+        outputs = shape[1]
+        if len(outputs) != 1:
+            return [
+                _OP_MULTI,
+                tuple(_emission(circuit, cell, out) for out in outputs),
+            ]
+        dq, taps, fan = _emission(circuit, cell, outputs[0])
+        if len(fan) == 1:
+            kb, dly, nop = fan[0]
+            if not taps:
+                return [_OP_DELAY1, kb, dly, nop]
+            return [_OP_DELAY1T, dq, taps, kb, dly, nop]
+        return [_OP_DELAYN, dq, taps, fan]
+    if kind == "store":
+        return [_OP_STORE, cell, shape[1]]
+    if kind == "guard":
+        _kind, fire, output, fire_next, other_next = shape
+        return [
+            _OP_GUARD, cell, fire, fire_next, other_next,
+            *_emission(circuit, cell, output),
+        ]
     return [
-        _OP_MULTI,
-        tuple(_emission(circuit, cell, out) for out in ("q1", "q2")),
+        _OP_TABLE,
+        cell,
+        tuple(
+            (nxt, tuple(_emission(circuit, cell, out) for out in outputs))
+            for nxt, outputs in cell.TRANSITIONS[port]
+        ),
     ]
 
 
@@ -239,80 +261,25 @@ def _compile_merger(cell, port, circuit):
     return [_OP_MERGER, cell, cell.dead_time, dq, taps, rows]
 
 
-def _compile_ndro(cell, port, circuit):
-    if port == "set":
-        return [_OP_STORE1, cell]
-    if port == "reset":
-        return [_OP_STORE0, cell]
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_NDRO, cell, dq, taps, rows]
-
-
-def _compile_dff(cell, port, circuit):
-    if port == "d":
-        return [_OP_STORE1, cell]
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_DFF, cell, dq, taps, rows]
-
-
-def _compile_dff2(cell, port, circuit):
-    if port == "a":
-        return [_OP_STORE1, cell]
-    out = "y1" if port == "c1" else "y2"
-    dq, taps, rows = _emission(circuit, cell, out)
-    return [_OP_DFF, cell, dq, taps, rows]
-
-
-def _compile_tff(cell, port, circuit):
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_TFF, cell, dq, taps, rows]
-
-
-def _compile_tff2(cell, port, circuit):
-    return [
-        _OP_TFF2,
-        cell,
-        _emission(circuit, cell, "q1"),
-        _emission(circuit, cell, "q2"),
-    ]
-
-
-def _compile_inverter(cell, port, circuit):
-    if port == "a":
-        return [_OP_DISARM, cell]
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_INV, cell, dq, taps, rows]
-
-
 _inline_compilers = None
 
 
 def _inline_registry() -> dict:
-    """``handle function -> opcode compiler`` for the standard cell library.
+    """``handle function -> opcode compiler`` for the inline cells.
 
-    Keyed by the *function* implementing ``handle`` so subclasses that
-    inherit behaviour (e.g. ``IdealMerger``) are covered automatically,
-    while subclasses that override ``handle`` fall back to the generic
-    call opcode.  Built lazily to keep the kernel importable before the
-    cell library.
+    Keyed by the *function* implementing ``handle`` so every
+    :class:`~repro.pulsesim.element.TableCell` and every merger subclass
+    (e.g. ``IdealMerger``) is covered automatically, while subclasses
+    that override ``handle`` fall back to the generic call opcode.
+    Built lazily to keep the kernel importable before the cell library.
     """
     global _inline_compilers
     if _inline_compilers is None:
-        from repro.cells.interconnect import Jtl, Merger, Splitter
-        from repro.cells.logic import Inverter
-        from repro.cells.storage import Dff, Dff2, Ndro
-        from repro.cells.toggle import Tff, Tff2
+        from repro.cells.interconnect import Merger
 
         _inline_compilers = {
-            Jtl.handle: _compile_jtl,
-            Splitter.handle: _compile_splitter,
+            TableCell.handle: _compile_table,
             Merger.handle: _compile_merger,
-            Ndro.handle: _compile_ndro,
-            Dff.handle: _compile_dff,
-            Dff2.handle: _compile_dff2,
-            Tff.handle: _compile_tff,
-            Tff2.handle: _compile_tff2,
-            Inverter.handle: _compile_inverter,
         }
     return _inline_compilers
 
@@ -666,147 +633,125 @@ class SealedSimulator(Simulator):
                             "likely an oscillating netlist"
                         )
                     kind = op[0]
-                    if kind <= 5:
-                        if kind == 1:  # DELAY1: unprobed single-wire JTL
-                            _k, kb, dly, nop = op
+                    if kind == 0:  # DELAY1: unprobed single-wire fanout
+                        _k, kb, dly, nop = op
+                        pulses += 1
+                        arrival = t + dly
+                        k = kb + seq
+                        entry = (k, nop)
+                        seq += 1
+                        b = bget(arrival)
+                        if b is None:
+                            buckets[arrival] = entry
+                            push(times, arrival)
+                        elif type(b) is list:
+                            bpush(b, entry)
+                        elif b[0] < k:
+                            buckets[arrival] = [b, entry]
+                        else:
+                            buckets[arrival] = [entry, b]
+                    elif kind == 1:  # GUARD: only state op[2] emits
+                        cell = op[1]
+                        if cell.state == op[2]:
+                            nxt = op[3]
+                            if nxt is not None:
+                                cell.state = nxt
                             pulses += 1
-                            arrival = t + dly
-                            k = kb + seq
-                            entry = (k, nop)
-                            seq += 1
-                            b = bget(arrival)
-                            if b is None:
-                                buckets[arrival] = entry
-                                push(times, arrival)
-                            elif type(b) is list:
-                                bpush(b, entry)
-                            elif b[0] < k:
-                                buckets[arrival] = [b, entry]
-                            else:
-                                buckets[arrival] = [entry, b]
-                        elif kind == 2:  # MERGER
-                            cell = op[1]
-                            last = cell._last_accept
-                            if last is not None and t - last < op[2]:
-                                cell.collisions += 1
-                            else:
-                                cell._last_accept = t
-                                pulses += 1
-                                taps = op[4]
-                                if taps:
-                                    ot = t + op[3]
-                                    for record in taps:
-                                        record(ot)
-                                for kb, dly, nop in op[5]:
-                                    arrival = t + dly
-                                    k = kb + seq
-                                    entry = (k, nop)
-                                    seq += 1
-                                    b = bget(arrival)
-                                    if b is None:
-                                        buckets[arrival] = entry
-                                        push(times, arrival)
-                                    elif type(b) is list:
-                                        bpush(b, entry)
-                                    elif b[0] < k:
-                                        buckets[arrival] = [b, entry]
-                                    else:
-                                        buckets[arrival] = [entry, b]
-                        elif kind == 3:  # MULTI: splitter, per-output blocks
-                            for dq, taps, rows in op[1]:
-                                pulses += 1
-                                if taps:
-                                    ot = t + dq
-                                    for record in taps:
-                                        record(ot)
-                                for kb, dly, nop in rows:
-                                    arrival = t + dly
-                                    k = kb + seq
-                                    entry = (k, nop)
-                                    seq += 1
-                                    b = bget(arrival)
-                                    if b is None:
-                                        buckets[arrival] = entry
-                                        push(times, arrival)
-                                    elif type(b) is list:
-                                        bpush(b, entry)
-                                    elif b[0] < k:
-                                        buckets[arrival] = [b, entry]
-                                    else:
-                                        buckets[arrival] = [entry, b]
-                        elif kind == 0:  # CALL: generic cell handle
-                            self.now = now
-                            self._sequence = seq
-                            self._pulses = pulses
-                            stats.events_processed = events
-                            stats.pulses_emitted = pulses
-                            try:
-                                op[1](self, op[2], t)
-                            finally:
-                                seq = self._sequence
-                                pulses = self._pulses
-                        elif kind == 4:  # STORE1: NDRO set / DFF d / DFF2 a
-                            op[1].state = 1
-                        else:  # STORE0: NDRO reset
-                            op[1].state = 0
-                    else:
-                        if kind == 6:  # NDRO clk
-                            cell = op[1]
-                            cell.reads += 1
-                            if cell.state:
-                                pulses += 1
-                                taps = op[3]
-                                if taps:
-                                    ot = t + op[2]
-                                    for record in taps:
-                                        record(ot)
-                                for kb, dly, nop in op[4]:
-                                    arrival = t + dly
-                                    k = kb + seq
-                                    entry = (k, nop)
-                                    seq += 1
-                                    b = bget(arrival)
-                                    if b is None:
-                                        buckets[arrival] = entry
-                                        push(times, arrival)
-                                    elif type(b) is list:
-                                        bpush(b, entry)
-                                    elif b[0] < k:
-                                        buckets[arrival] = [b, entry]
-                                    else:
-                                        buckets[arrival] = [entry, b]
-                        elif kind == 7:  # TFF: emit every second pulse
-                            cell = op[1]
-                            state = cell.state ^ 1
-                            cell.state = state
-                            if state == 0:
-                                pulses += 1
-                                taps = op[3]
-                                if taps:
-                                    ot = t + op[2]
-                                    for record in taps:
-                                        record(ot)
-                                for kb, dly, nop in op[4]:
-                                    arrival = t + dly
-                                    k = kb + seq
-                                    entry = (k, nop)
-                                    seq += 1
-                                    b = bget(arrival)
-                                    if b is None:
-                                        buckets[arrival] = entry
-                                        push(times, arrival)
-                                    elif type(b) is list:
-                                        bpush(b, entry)
-                                    elif b[0] < k:
-                                        buckets[arrival] = [b, entry]
-                                    else:
-                                        buckets[arrival] = [entry, b]
-                        elif kind == 8:  # DELAY1T: probed single-wire JTL
-                            _k, dq, taps, kb, dly, nop = op
+                            taps = op[6]
+                            if taps:
+                                ot = t + op[5]
+                                for record in taps:
+                                    record(ot)
+                            for kb, dly, nop in op[7]:
+                                arrival = t + dly
+                                k = kb + seq
+                                entry = (k, nop)
+                                seq += 1
+                                b = bget(arrival)
+                                if b is None:
+                                    buckets[arrival] = entry
+                                    push(times, arrival)
+                                elif type(b) is list:
+                                    bpush(b, entry)
+                                elif b[0] < k:
+                                    buckets[arrival] = [b, entry]
+                                else:
+                                    buckets[arrival] = [entry, b]
+                        else:
+                            nxt = op[4]
+                            if nxt is not None:
+                                cell.state = nxt
+                    elif kind == 2:  # CALL: generic cell handle
+                        self.now = now
+                        self._sequence = seq
+                        self._pulses = pulses
+                        stats.events_processed = events
+                        stats.pulses_emitted = pulses
+                        try:
+                            op[1](self, op[2], t)
+                        finally:
+                            seq = self._sequence
+                            pulses = self._pulses
+                    elif kind == 3:  # MERGER
+                        cell = op[1]
+                        last = cell._last_accept
+                        if last is not None and t - last < op[2]:
+                            cell.collisions += 1
+                        else:
+                            cell._last_accept = t
                             pulses += 1
+                            taps = op[4]
+                            if taps:
+                                ot = t + op[3]
+                                for record in taps:
+                                    record(ot)
+                            for kb, dly, nop in op[5]:
+                                arrival = t + dly
+                                k = kb + seq
+                                entry = (k, nop)
+                                seq += 1
+                                b = bget(arrival)
+                                if b is None:
+                                    buckets[arrival] = entry
+                                    push(times, arrival)
+                                elif type(b) is list:
+                                    bpush(b, entry)
+                                elif b[0] < k:
+                                    buckets[arrival] = [b, entry]
+                                else:
+                                    buckets[arrival] = [entry, b]
+                    elif kind == 4:  # MULTI: one block per output
+                        for dq, taps, rows in op[1]:
+                            pulses += 1
+                            if taps:
+                                ot = t + dq
+                                for record in taps:
+                                    record(ot)
+                            for kb, dly, nop in rows:
+                                arrival = t + dly
+                                k = kb + seq
+                                entry = (k, nop)
+                                seq += 1
+                                b = bget(arrival)
+                                if b is None:
+                                    buckets[arrival] = entry
+                                    push(times, arrival)
+                                elif type(b) is list:
+                                    bpush(b, entry)
+                                elif b[0] < k:
+                                    buckets[arrival] = [b, entry]
+                                else:
+                                    buckets[arrival] = [entry, b]
+                    elif kind == 5:  # STORE
+                        op[1].state = op[2]
+                    elif kind == 6:  # DELAYN: one output, 0 or 2+ wires
+                        _k, dq, taps, rows = op
+                        pulses += 1
+                        if taps:
                             ot = t + dq
                             for record in taps:
                                 record(ot)
+                        for kb, dly, nop in rows:
                             arrival = t + dly
                             k = kb + seq
                             entry = (k, nop)
@@ -821,8 +766,31 @@ class SealedSimulator(Simulator):
                                 buckets[arrival] = [b, entry]
                             else:
                                 buckets[arrival] = [entry, b]
-                        elif kind == 9:  # DELAYN: JTL with 0 or 2+ wires
-                            _k, dq, taps, rows = op
+                    elif kind == 7:  # DELAY1T: probed single-wire fanout
+                        _k, dq, taps, kb, dly, nop = op
+                        pulses += 1
+                        ot = t + dq
+                        for record in taps:
+                            record(ot)
+                        arrival = t + dly
+                        k = kb + seq
+                        entry = (k, nop)
+                        seq += 1
+                        b = bget(arrival)
+                        if b is None:
+                            buckets[arrival] = entry
+                            push(times, arrival)
+                        elif type(b) is list:
+                            bpush(b, entry)
+                        elif b[0] < k:
+                            buckets[arrival] = [b, entry]
+                        else:
+                            buckets[arrival] = [entry, b]
+                    elif kind == 8:  # TABLE: state-dependent row
+                        cell = op[1]
+                        nxt, emissions = op[2][cell.state]
+                        cell.state = nxt
+                        for dq, taps, rows in emissions:
                             pulses += 1
                             if taps:
                                 ot = t + dq
@@ -843,90 +811,10 @@ class SealedSimulator(Simulator):
                                     buckets[arrival] = [b, entry]
                                 else:
                                     buckets[arrival] = [entry, b]
-                        elif kind == 10:  # INV: inverter clk
-                            cell = op[1]
-                            if cell._armed:
-                                pulses += 1
-                                taps = op[3]
-                                if taps:
-                                    ot = t + op[2]
-                                    for record in taps:
-                                        record(ot)
-                                for kb, dly, nop in op[4]:
-                                    arrival = t + dly
-                                    k = kb + seq
-                                    entry = (k, nop)
-                                    seq += 1
-                                    b = bget(arrival)
-                                    if b is None:
-                                        buckets[arrival] = entry
-                                        push(times, arrival)
-                                    elif type(b) is list:
-                                        bpush(b, entry)
-                                    elif b[0] < k:
-                                        buckets[arrival] = [b, entry]
-                                    else:
-                                        buckets[arrival] = [entry, b]
-                            else:
-                                cell._armed = True
-                        elif kind == 11:  # DISARM: inverter a
-                            op[1]._armed = False
-                        elif kind == 12:  # DFF clk / DFF2 c1,c2
-                            cell = op[1]
-                            if cell.state:
-                                cell.state = 0
-                                pulses += 1
-                                taps = op[3]
-                                if taps:
-                                    ot = t + op[2]
-                                    for record in taps:
-                                        record(ot)
-                                for kb, dly, nop in op[4]:
-                                    arrival = t + dly
-                                    k = kb + seq
-                                    entry = (k, nop)
-                                    seq += 1
-                                    b = bget(arrival)
-                                    if b is None:
-                                        buckets[arrival] = entry
-                                        push(times, arrival)
-                                    elif type(b) is list:
-                                        bpush(b, entry)
-                                    elif b[0] < k:
-                                        buckets[arrival] = [b, entry]
-                                    else:
-                                        buckets[arrival] = [entry, b]
-                        elif kind == 13:  # TFF2: alternate q1 / q2
-                            cell = op[1]
-                            if cell.state == 0:
-                                dq, taps, rows = op[2]
-                            else:
-                                dq, taps, rows = op[3]
-                            cell.state ^= 1
-                            pulses += 1
-                            if taps:
-                                ot = t + dq
-                                for record in taps:
-                                    record(ot)
-                            for kb, dly, nop in rows:
-                                arrival = t + dly
-                                k = kb + seq
-                                entry = (k, nop)
-                                seq += 1
-                                b = bget(arrival)
-                                if b is None:
-                                    buckets[arrival] = entry
-                                    push(times, arrival)
-                                elif type(b) is list:
-                                    bpush(b, entry)
-                                elif b[0] < k:
-                                    buckets[arrival] = [b, entry]
-                                else:
-                                    buckets[arrival] = [entry, b]
-                        else:  # pragma: no cover - compiler invariant
-                            raise SimulationError(
-                                f"corrupt compiled program (kind {kind!r})"
-                            )
+                    else:  # pragma: no cover - compiler invariant
+                        raise SimulationError(
+                            f"corrupt compiled program (kind {kind!r})"
+                        )
                     # Same-time continuation.  Monotonic: walk the sorted
                     # bucket by index (its length is fixed — nothing can
                     # push back into it).  Otherwise: keep heap-popping,
@@ -955,12 +843,12 @@ class SealedSimulator(Simulator):
             stats.wall_s += wall_delta
         end = now if until is None else (now if now > until else until)
         stats.end_time = max(stats.end_time, end)
+        delta = SimulationStats(
+            events - processed_before, pulses - pulses_before,
+            stats.end_time, maxq, wall_delta,
+        )
         for collector in _collectors.get():
-            collector.events_processed += events - processed_before
-            collector.pulses_emitted += pulses - pulses_before
-            collector.end_time = max(collector.end_time, stats.end_time)
-            collector.max_queue_depth = max(collector.max_queue_depth, maxq)
-            collector.wall_s += wall_delta
+            collector.merge(delta)
         return stats
 
     def _next_event_time(self) -> Optional[int]:

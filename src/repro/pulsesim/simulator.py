@@ -242,12 +242,13 @@ class Simulator:
             stats.wall_s += wall_delta
         horizon = self.now if until is None else max(self.now, until)
         stats.end_time = max(stats.end_time, horizon)
+        delta = SimulationStats(
+            stats.events_processed - processed_before,
+            stats.pulses_emitted - pulses_before,
+            stats.end_time, maxq, wall_delta,
+        )
         for collector in _collectors.get():
-            collector.events_processed += stats.events_processed - processed_before
-            collector.pulses_emitted += stats.pulses_emitted - pulses_before
-            collector.end_time = max(collector.end_time, stats.end_time)
-            collector.max_queue_depth = max(collector.max_queue_depth, maxq)
-            collector.wall_s += wall_delta
+            collector.merge(delta)
         return stats
 
     def _next_event_time(self) -> Optional[int]:

@@ -39,13 +39,11 @@ processes, bit-identical results) — the cheap mode property tests use.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from time import perf_counter
 from typing import (
     AbstractSet,
     Any,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -55,12 +53,16 @@ from typing import (
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.parallel import ProcessActor, resolve_jobs
-from repro.pulsesim import simulator as simulator_module
 from repro.pulsesim.element import CellRole
 from repro.pulsesim.export import import_netlist
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.probe import PulseRecorder
-from repro.pulsesim.simulator import SimulationStats, Simulator
+from repro.pulsesim.simulator import (
+    SimulationStats,
+    Simulator,
+    active_collectors,
+    quiet_stats,
+)
 from repro.shard.partition import (
     CutWire,
     ShardPlan,
@@ -71,18 +73,6 @@ from repro.shard.partition import (
 #: Label prefix of the engine's private boundary recorders; excluded from
 #: :meth:`ShardSimulator.recordings`.
 BOUNDARY_PREFIX = "__shard_boundary__:"
-
-
-@contextmanager
-def _quiet_stats() -> Iterator[None]:
-    """Silence :func:`~repro.pulsesim.simulator.capture_stats` collectors.
-
-    Shard windows run inside this context so an enclosing collector (e.g.
-    the experiment runner's) is not fed once per shard per window; the
-    coordinator feeds the merged totals exactly once after the run.
-    """
-    with simulator_module.quiet_stats():
-        yield
 
 
 def _freeze(value: Any) -> Any:
@@ -144,7 +134,9 @@ class _ShardHost:
     def _cmd_advance(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         for cell, port, time in payload["inject"]:
             self.sim.schedule_input(self.circuit[cell], port, time)
-        with _quiet_stats():
+        # Windows stay out of any enclosing capture_stats() collector; the
+        # coordinator feeds the merged totals once after the run.
+        with quiet_stats():
             self.sim.run(until=payload["until"])
         emissions: Dict[str, List[int]] = {}
         for link, recorder in self._boundary.items():
@@ -403,14 +395,8 @@ class ShardSimulator:
         if until is not None:
             merged.end_time = max(merged.end_time, until)
         merged.wall_s = perf_counter() - wall_start
-        for collector in simulator_module.active_collectors():
-            collector.events_processed += merged.events_processed
-            collector.pulses_emitted += merged.pulses_emitted
-            collector.end_time = max(collector.end_time, merged.end_time)
-            collector.max_queue_depth = max(
-                collector.max_queue_depth, merged.max_queue_depth
-            )
-            collector.wall_s += merged.wall_s
+        for collector in active_collectors():
+            collector.merge(merged)
         self.stats = merged
         return merged
 

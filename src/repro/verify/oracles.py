@@ -25,13 +25,11 @@ from repro.verify.spec import Built, NetlistSpec, build
 from repro.verify import spec as specmod
 
 #: Internal cell state compared after runs (superset across the library;
-#: missing attributes read as None).  Cell state is the sharpest oracle:
-#: parity, dead-time filtering, and store/readout races are all
-#: order-sensitive, so any divergence in the event total order shows up.
-STATE_ATTRS: Tuple[str, ...] = (
-    "state", "reads", "collisions", "select",
-    "_armed", "_last_accept", "_a", "_b", "_seen", "_fired",
-)
+#: missing attributes read as None).  Every table cell keeps its whole
+#: state in ``state``.  Cell state is the sharpest oracle: parity,
+#: dead-time filtering, and store/readout races are all order-sensitive,
+#: so any divergence in the event total order shows up.
+STATE_ATTRS: Tuple[str, ...] = ("state", "collisions", "_last_accept")
 
 #: Cells for which equal-(time, priority) pulses on *different* input
 #: ports steer observably different outputs depending on engine-assigned

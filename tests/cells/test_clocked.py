@@ -83,6 +83,6 @@ def test_inputs_latch_until_clock():
 
 def test_reset_clears_state():
     gate = ClockedAnd("g")
-    gate._a = gate._b = True
+    gate.state = 3  # both inputs latched
     gate.reset()
-    assert not gate._a and not gate._b
+    assert gate.state == 0

@@ -115,12 +115,3 @@ class TestNdro:
         sim.schedule_input(cell, "set", 10_000)
         sim.run()
         assert probe.count() == 1
-
-    def test_read_counter(self):
-        cell = Ndro("n")
-        circuit, sim = _wire(cell)
-        sim.schedule_train(cell, "clk", [0, 10, 20])
-        sim.run()
-        assert cell.reads == 3
-        cell.reset()
-        assert cell.reads == 0

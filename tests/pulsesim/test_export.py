@@ -221,3 +221,43 @@ def test_cells_without_recoverable_params_export_without_them():
     registry = {**default_cell_registry(), "Mystery": Mystery}
     with pytest.raises(NetlistError, match="params"):
         import_netlist(description, registry=registry)
+
+
+def _set_param(key, value):
+    def mutate(description):
+        description["cells"][0]["params"][key] = value
+    return mutate
+
+
+def _set_wire_delay(value):
+    def mutate(description):
+        description["wires"][0]["delay_fs"] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (_set_param("delay", "x"), "non-negative integer"),
+    (_set_param("delay", -5_000), "non-negative integer"),
+    (_set_param("delay", 2.5), "non-negative integer"),
+    (_set_param("delay", True), "non-negative integer"),
+    (_set_wire_delay(1.5), "non-negative integer"),
+    (_set_wire_delay(-1), "non-negative integer"),
+    (_set_wire_delay(False), "non-negative integer"),
+    (_set_param("bogus", 1), r"cells\[0\].*bogus"),
+    (lambda d: d.update(wires=[None]), r"wires\[0\]"),
+    (lambda d: d.update(cells="abc"), "'cells' must be a list"),
+    (lambda d: d.update(cells=["abc"]), r"cells\[0\]"),
+    (lambda d: d["probes"][0].pop("label"), r"probes\[0\]"),
+    (lambda d: d.pop("name"), "description"),
+], ids=[
+    "delay-str", "delay-negative", "delay-float", "delay-bool",
+    "wire-delay-float", "wire-delay-negative", "wire-delay-bool",
+    "unknown-param", "wire-none", "cells-str", "cell-str", "probe-no-label",
+    "no-name",
+])
+def test_import_rejects_malformed_documents(mutate, match):
+    circuit, _entry = _mixed_circuit()
+    description = netlist_description(circuit)
+    mutate(description)
+    with pytest.raises(NetlistError, match=match):
+        import_netlist(description)

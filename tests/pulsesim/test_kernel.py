@@ -242,7 +242,7 @@ def test_monotonic_flip_mid_life_preserves_order():
         sim.schedule_input(LastArrival("foreign"), "a", 11_000)
         stats = sim.run()
         outputs[kernel] = (list(probe.times), stats.events_processed,
-                           stats.pulses_emitted, ndro.state, ndro.reads)
+                           stats.pulses_emitted, ndro.state)
     assert outputs["reference"] == outputs["sealed"]
 
 
