@@ -21,7 +21,7 @@ Example::
 
     PYTHONPATH=src python benchmarks/loadgen.py --spawn \\
         --concurrency 64 --requests 256 --bits 5 --length 8 --bipolar \\
-        -- --max-batch 64 --max-wait-us 2000
+        -- --max-batch 64 --workers 1
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Layers (each importable and testable without the one above):
 * :mod:`~repro.serve.cache` — content-addressed response cache (keys
   include the source-tree digest, so stale code never serves).
 * :mod:`~repro.serve.batcher` — the micro-batching queue: flush on size
-  or timer, per-request deadline eviction.
+  or a free executor slot, per-request deadline eviction.
 * :mod:`~repro.serve.workers` — execution tier: inline threads or a pool
   of :class:`repro.parallel.ProcessActor` workers with crash restart.
 * :mod:`~repro.serve.server` — minimal stdlib HTTP/1.1 front end, the

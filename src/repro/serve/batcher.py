@@ -2,18 +2,19 @@
 
 Requests sharing a batch key (same op + canonical config) accumulate in
 a *group*.  A group flushes — becoming one
-:meth:`~repro.serve.engine.ComputeEngine.execute_group` dispatch — when
-either trigger fires first:
+:meth:`~repro.serve.engine.ComputeEngine.execute_group` dispatch — on
+the first of:
 
-* **size**: the group reaches ``max_batch`` lanes, or
-* **time**: ``max_wait_us`` elapsed since the group's first request.
+* **size**: it reaches ``max_batch`` lanes, even while the tier is busy;
+* **free slot**: it was opened while fewer than ``capacity`` dispatches
+  were in flight, and flushes at the end of that event-loop tick with
+  every request submitted in the tick; or a dispatch finished and it is
+  the oldest open group.  Requests that arrive while the tier is busy
+  pile into that group, so coalescing needs no timer.
 
-Both triggers funnel through one ``_flush`` that atomically pops the
-group from the table, so the timer racing the size trigger (or two size
-triggers racing across awaits) can never double-dispatch: whoever pops
-the group owns it, the loser finds the table empty.  A request arriving
-while a flush is in flight starts a *new* group with its own timer —
-in-flight work never blocks admission of the next batch.
+Every trigger funnels through one ``_flush`` that pops the group only
+while it is still the open group for its key, so a stale trigger can
+never double-dispatch it or dispatch a newer group under the same key.
 
 Deadlines are enforced at flush time: a request whose budget expired
 while queued is ejected (its waiter gets :class:`DeadlineExceeded`, the
@@ -43,35 +44,35 @@ _Entry = Tuple[Request, "asyncio.Future[Dict[str, Any]]", Optional[float]]
 
 
 class _Group:
-    __slots__ = ("key", "entries", "timer")
+    __slots__ = ("key", "entries")
 
     def __init__(self, key: str):
         self.key = key
         self.entries: List[_Entry] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class MicroBatcher:
-    """Coalesces submissions into grouped execute dispatches."""
+    """Coalesces submissions into grouped execute dispatches; ``capacity``
+    is how many dispatches ``execute`` runs at once."""
 
     def __init__(
         self,
         execute: ExecuteFn,
         max_batch: int = 64,
-        max_wait_us: int = 2_000,
+        capacity: int = 1,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_us < 0:
-            raise ConfigurationError(
-                f"max_wait_us must be >= 0, got {max_wait_us}"
-            )
+        if capacity < 1:
+            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self._execute = execute
         self.max_batch = max_batch
-        self.max_wait_us = max_wait_us
+        self.capacity = capacity
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Open groups by key; insertion order is age (oldest first).
         self._groups: Dict[str, _Group] = {}
+        self._in_flight = 0
         self._tasks: "set[asyncio.Task[None]]" = set()
 
     # -- submission --------------------------------------------------------------
@@ -100,29 +101,24 @@ class MicroBatcher:
         if group is None:
             group = _Group(key)
             self._groups[key] = group
-            group.timer = loop.call_later(
-                self.max_wait_us / 1e6, self._flush, key
-            )
+            if self._in_flight < self.capacity:
+                loop.call_soon(self._flush, group)
         group.entries.append(entry)
         if len(group.entries) >= self.max_batch:
-            self._flush(key)
+            self._flush(group)
         return await future
 
     # -- flushing ----------------------------------------------------------------
-    def _flush(self, key: str) -> None:
-        """Pop-and-dispatch; safe under timer/size races (pop is atomic)."""
-        group = self._groups.pop(key, None)
-        if group is None:
-            return  # the other trigger won the race
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
-        self._dispatch(group)
+    def _flush(self, group: _Group) -> None:
+        """Pop-and-dispatch ``group`` if it is still open (stale: no-op)."""
+        if self._groups.get(group.key) is group:
+            del self._groups[group.key]
+            self._dispatch(group)
 
     def flush_all(self) -> None:
         """Flush every open group now (drain path)."""
-        for key in list(self._groups):
-            self._flush(key)
+        for group in list(self._groups.values()):
+            self._flush(group)
 
     @property
     def pending(self) -> int:
@@ -130,10 +126,18 @@ class MicroBatcher:
         return sum(len(group.entries) for group in self._groups.values())
 
     def _dispatch(self, group: _Group) -> None:
+        self._in_flight += 1
         task = asyncio.ensure_future(self._run(group))
         # Keep a strong reference until done (asyncio only holds weakly).
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(self._finished)
+
+    def _finished(self, task: "asyncio.Task[None]") -> None:
+        """A slot freed: hand it to the oldest open group."""
+        self._tasks.discard(task)
+        self._in_flight -= 1
+        while self._groups and self._in_flight < self.capacity:
+            self._flush(next(iter(self._groups.values())))
 
     async def _run(self, group: _Group) -> None:
         loop = asyncio.get_running_loop()

@@ -40,12 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lanes per coalesced dispatch; 1 disables coalescing",
     )
     parser.add_argument(
-        "--max-wait-us",
-        type=int,
-        default=defaults.max_wait_us,
-        help="batch window after a group's first request (microseconds)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=defaults.workers,
@@ -77,7 +71,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
         workers=args.workers,
         max_pending=args.max_pending,
         cache_entries=args.cache_entries,
@@ -95,8 +88,7 @@ def _serve(args: argparse.Namespace) -> int:
     def ready(service: ServeService, port: int) -> None:
         print(
             f"usfq-serve listening on http://{config.host}:{port} "
-            f"(max_batch={config.max_batch}, "
-            f"max_wait_us={config.max_wait_us}, workers={config.workers})",
+            f"(max_batch={config.max_batch}, workers={config.workers})",
             flush=True,
         )
 

@@ -258,6 +258,23 @@ _PARSERS = {
     "pe.matmul": _parse_pe_matmul,
 }
 
+_EPOCH_FIELDS = ("bits", "slot_fs")
+
+#: The fields each op accepts beside ``op``, ``config`` and
+#: ``deadline_ms``: (operand fields, config fields).
+_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "dpu.dot": (("a_slots", "b_counts"), _EPOCH_FIELDS + ("length", "bipolar")),
+    "fir.unary": (("samples",), _EPOCH_FIELDS + ("coefficients",)),
+    "fir.binary": (("samples",), _EPOCH_FIELDS + ("coefficients",)),
+    "pe.mac": (("values",), _EPOCH_FIELDS),
+    "pe.matmul": (("a", "b"), _EPOCH_FIELDS),
+}
+
+
+def _reject_unknown(obj: Dict[str, Any], known: Tuple[str, ...], what: str) -> None:
+    unknown = sorted(repr(key) for key in obj if key not in known)
+    _require(not unknown, f"unknown {what}: {', '.join(unknown)}")
+
 
 def parse_request(payload: Any) -> Request:
     """Validate one JSON request body into a :class:`Request`.
@@ -272,6 +289,10 @@ def parse_request(payload: Any) -> Request:
         raise ProtocolError(
             f"unknown op {op!r}; supported: {', '.join(OPS)}"
         )
+    operand_fields, config_fields = _FIELDS[op]
+    _reject_unknown(payload, ("op", "config", "deadline_ms") + operand_fields, "field")
+    if isinstance(payload.get("config"), dict):
+        _reject_unknown(payload["config"], config_fields, "config field")
     deadline_ms: Optional[float] = None
     if "deadline_ms" in payload:
         raw = payload["deadline_ms"]

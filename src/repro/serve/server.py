@@ -68,7 +68,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8471
     max_batch: int = 64  #: lanes per coalesced dispatch (1 = no coalescing)
-    max_wait_us: int = 2_000  #: batch window after the first request
     workers: int = 0  #: 0 = inline threads; N = ProcessActor pool
     max_pending: int = 256  #: admission ceiling (in-flight requests)
     cache_entries: int = 4096  #: response-cache capacity (0 disables)
@@ -84,7 +83,6 @@ class ServeConfig:
             )
         for name, low in (
             ("max_batch", 1),
-            ("max_wait_us", 0),
             ("workers", 0),
             ("max_pending", 1),
             ("cache_entries", 0),
@@ -127,7 +125,7 @@ class ServeService:
         self.batcher = MicroBatcher(
             self.tier.execute,
             max_batch=config.max_batch,
-            max_wait_us=config.max_wait_us,
+            capacity=self.tier.capacity,
             metrics=self.metrics,
         )
         self.source_digest = cached_source_digest()
@@ -201,7 +199,6 @@ class ServeService:
             "config": {
                 "max_batch": self.config.max_batch,
                 "max_pending": self.config.max_pending,
-                "max_wait_us": self.config.max_wait_us,
                 "workers": self.config.workers,
             },
             "draining": self.draining,
@@ -311,10 +308,22 @@ class ServeService:
 
 
 # -- the HTTP/1.1 layer ------------------------------------------------------------
+class _BadFraming(Exception):
+    """A request refused before routing: answered, then the socket closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one request off the stream; None on EOF/garbage/overflow."""
+    """Parse one request off the stream; None on EOF or a dropped peer.
+
+    A malformed request line or ``Content-Length`` raises a 400
+    :class:`_BadFraming`; a body above ``MAX_BODY_BYTES``, a 413 one.
+    """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except (
@@ -327,7 +336,7 @@ async def _read_request(
         request_line, *header_lines = head.decode("latin-1").split("\r\n")
         method, path, _version = request_line.split(" ", 2)
     except ValueError:
-        return None
+        raise _BadFraming(400, "malformed request line") from None
     headers: Dict[str, str] = {}
     for line in header_lines:
         if not line:
@@ -338,9 +347,13 @@ async def _read_request(
     try:
         length = int(length_text)
     except ValueError:
-        return None
-    if length < 0 or length > MAX_BODY_BYTES:
-        return None
+        length = -1
+    if length < 0:
+        raise _BadFraming(400, f"invalid Content-Length {length_text!r}")
+    if length > MAX_BODY_BYTES:
+        raise _BadFraming(
+            413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
     body = b""
     if length:
         try:
@@ -372,21 +385,21 @@ async def _handle_connection(
     writer: asyncio.StreamWriter,
 ) -> None:
     try:
-        while True:
-            parsed = await _read_request(reader)
-            if parsed is None:
-                break
-            method, path, headers, body = parsed
-            keep_alive = headers.get("connection", "keep-alive") != "close"
-            status, content_type, payload, extra = await service.handle(
-                method, path, body
-            )
-            writer.write(
-                _render_response(status, content_type, payload, extra, keep_alive)
-            )
+        keep_alive = True
+        while keep_alive:
+            try:
+                parsed = await _read_request(reader)
+            except _BadFraming as exc:
+                keep_alive = False
+                reply = service._error(exc.status, str(exc))
+            else:
+                if parsed is None:
+                    break
+                method, path, headers, body = parsed
+                keep_alive = headers.get("connection", "keep-alive") != "close"
+                reply = await service.handle(method, path, body)
+            writer.write(_render_response(*reply, keep_alive))
             await writer.drain()
-            if not keep_alive:
-                break
     except (ConnectionResetError, BrokenPipeError):
         pass
     finally:

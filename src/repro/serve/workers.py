@@ -57,9 +57,12 @@ class ExecutionTier:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         self.workers = workers
+        #: Dispatches that run at once: one executor thread when inline,
+        #: one slot per actor process.
+        self.capacity = max(1, workers)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._threads = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="serve-exec"
+            max_workers=self.capacity, thread_name_prefix="serve-exec"
         )
         self._engine: Optional[ComputeEngine] = None
         self._actors: List[ProcessActor] = []

@@ -12,6 +12,8 @@ single-request runs.  Three independent witnesses:
 """
 
 import random
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.dpu import BATCH_CROSSOVER_LANES, DotProductUnit
@@ -36,39 +38,54 @@ def _requests(count, seed=20220711):
     ]
 
 
+def _wait_for(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
 def test_coalesced_batch_is_byte_identical_to_sequential_singles():
     requests = _requests(BATCH_CROSSOVER_LANES)
+    blocker = _requests(1, seed=1)[0]
 
     # Witness 1: concurrent clients against a coalescing server.  The
-    # cache is disabled so every request truly executes; the wide window
-    # is only a backstop, the size flush fires once every request is in.
-    coalescing = ServeConfig(
-        port=0,
-        max_batch=len(requests),
-        max_wait_us=5_000_000,
-        workers=0,
-        cache_entries=0,
-    )
+    # cache is disabled so every request truly executes.  A blocker
+    # request holds the one executor thread until all the others are
+    # queued, so they pile into one group that takes the freed slot.
+    coalescing = ServeConfig(port=0, workers=0, cache_entries=0)
     with start_server_thread(coalescing) as server:
-        with ThreadPoolExecutor(len(requests)) as pool:
-            batched_bodies = list(
-                pool.map(
-                    lambda payload: server.request(
-                        "POST", "/v1/compute", payload
-                    )[2],
-                    requests,
-                )
-            )
-        snapshot = server.service.metrics.to_dict()
-    # All requests coalesced into one group large enough for the batch
-    # kernel.
-    assert snapshot["counters"]["serve_batches_total"] == 1
-    assert snapshot["histograms"]["serve_batch_lanes"]["max"] == len(requests)
+        service = server.service
+        gate = threading.Event()
+        engine = service.tier._engine
+        real_execute_group = engine.execute_group
+
+        def gated_execute_group(op, config, operands_list):
+            assert gate.wait(timeout=60), "gate never opened"
+            return real_execute_group(op, config, operands_list)
+
+        engine.execute_group = gated_execute_group
+
+        def post(payload):
+            return server.request("POST", "/v1/compute", payload)[2]
+
+        with ThreadPoolExecutor(len(requests) + 1) as pool:
+            blocked = pool.submit(post, blocker)
+            _wait_for(lambda: service.in_flight == 1)
+            batched = [pool.submit(post, payload) for payload in requests]
+            _wait_for(lambda: service.in_flight == len(requests) + 1)
+            gate.set()
+            blocked.result()
+            batched_bodies = [future.result() for future in batched]
+        snapshot = service.metrics.to_dict()
+    # Beside the blocker, all requests coalesced into one group large
+    # enough for the batch kernel.
+    assert snapshot["counters"]["serve_batches_total"] == 2
+    lanes = snapshot["histograms"]["serve_batch_lanes"]
+    assert lanes["max"] == len(requests)
 
     # Witness 2: the same requests, one at a time, on a max_batch=1 server.
-    solo = ServeConfig(
-        port=0, max_batch=1, max_wait_us=0, workers=0, cache_entries=0
-    )
+    solo = ServeConfig(port=0, max_batch=1, workers=0, cache_entries=0)
     with start_server_thread(solo) as server:
         solo_bodies = [
             server.request("POST", "/v1/compute", payload)[2]
@@ -89,7 +106,7 @@ def test_coalesced_batch_is_byte_identical_to_sequential_singles():
 
 def test_cached_response_is_the_same_byte_string_as_the_cold_one():
     request = _requests(1)[0]
-    config = ServeConfig(port=0, max_batch=4, max_wait_us=1_000, workers=0)
+    config = ServeConfig(port=0, max_batch=4, workers=0)
     with start_server_thread(config) as server:
         _, cold_headers, cold_body = server.request(
             "POST", "/v1/compute", request
@@ -104,12 +121,8 @@ def test_cached_response_is_the_same_byte_string_as_the_cold_one():
 
 def test_worker_tier_serves_the_same_bytes_as_inline():
     requests = _requests(6, seed=99)
-    inline = ServeConfig(
-        port=0, max_batch=8, max_wait_us=20_000, workers=0, cache_entries=0
-    )
-    actors = ServeConfig(
-        port=0, max_batch=8, max_wait_us=20_000, workers=1, cache_entries=0
-    )
+    inline = ServeConfig(port=0, max_batch=8, workers=0, cache_entries=0)
+    actors = ServeConfig(port=0, max_batch=8, workers=1, cache_entries=0)
     bodies = {}
     for label, config in (("inline", inline), ("actors", actors)):
         with start_server_thread(config) as server:

@@ -201,3 +201,49 @@ def test_pe_matmul_validates_shapes():
                 "b": [[0.5]],
             }
         )
+
+
+_PE_CONFIG = {"bits": 4, "slot_fs": 40_000}
+_FIR_CONFIG = {"bits": 6, "slot_fs": 40_000, "coefficients": [0.5]}
+
+
+@pytest.mark.parametrize(
+    "payload, name",
+    [
+        (_dpu_payload(extra=1), "'extra'"),
+        (_dpu_payload(config={"bits": 4, "slot_fs": 40_000, "length": 2,
+                              "bogus": 1}), "'bogus'"),
+        # A typo must not silently fall back to the default (unipolar).
+        (_dpu_payload(config={"bits": 4, "slot_fs": 40_000, "length": 2,
+                              "bipolr": True}), "'bipolr'"),
+        ({"op": "pe.mac", "config": _PE_CONFIG, "values": [0.5] * 3,
+          "typo_field": 1}, "'typo_field'"),
+        ({"op": "pe.matmul", "config": dict(_PE_CONFIG, length=2),
+          "a": [[0.5]], "b": [[0.5]]}, "'length'"),
+        ({"op": "fir.unary", "config": _FIR_CONFIG, "samples": [0.1],
+          "values": [0.5]}, "'values'"),
+        ({"op": "fir.binary", "config": dict(_FIR_CONFIG, bipolar=True),
+          "samples": [0.1]}, "'bipolar'"),
+    ],
+)
+def test_rejects_unknown_fields_by_name(payload, name):
+    with pytest.raises(ProtocolError, match=name):
+        parse_request(payload)
+
+
+def test_every_documented_field_is_accepted():
+    request = parse_request(
+        _dpu_payload(
+            config={"bits": 4, "slot_fs": 40_000, "length": 2,
+                    "bipolar": True},
+            deadline_ms=5,
+        )
+    )
+    assert request.config["bipolar"] is True and request.deadline_ms == 5
+    for op, fields in (
+        ("pe.mac", {"config": _PE_CONFIG, "values": [0.5] * 3}),
+        ("pe.matmul", {"config": _PE_CONFIG, "a": [[0.5]], "b": [[0.5]]}),
+        ("fir.unary", {"config": _FIR_CONFIG, "samples": [0.1]}),
+        ("fir.binary", {"config": _FIR_CONFIG, "samples": [0.1]}),
+    ):
+        assert parse_request(dict(fields, op=op, deadline_ms=5)).op == op

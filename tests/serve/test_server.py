@@ -6,6 +6,7 @@ endpoint tests go through real sockets via the testing harness.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -93,9 +94,7 @@ def test_unknown_route_and_wrong_method():
 
 def test_admission_ceiling_returns_429_with_retry_after():
     async def main():
-        config = ServeConfig(
-            port=0, workers=0, max_pending=1, max_batch=8, max_wait_us=50_000
-        )
+        config = ServeConfig(port=0, workers=0, max_pending=1, max_batch=8)
         service = ServeService(config)
         gate = asyncio.Event()
         real_execute = service.tier.execute
@@ -128,28 +127,47 @@ def test_admission_ceiling_returns_429_with_retry_after():
 
 def test_deadline_expiring_in_queue_returns_504():
     async def main():
-        config = ServeConfig(
-            port=0, workers=0, max_batch=64, max_wait_us=60_000
-        )
-        service = ServeService(config)
+        service = ServeService(ServeConfig(port=0, workers=0, max_batch=64))
+        gate = asyncio.Event()
+        real_execute = service.tier.execute
+
+        async def gated_execute(op, cfg, operands):
+            await gate.wait()
+            return await real_execute(op, cfg, operands)
+
+        service.batcher._execute = gated_execute
         try:
-            # 1 ms budget against a 60 ms batch window: evicted at flush.
-            response = await service.handle(
-                "POST", "/v1/compute", _body(dict(_DPU, deadline_ms=1))
+            # The first request holds the executor busy, so the second
+            # waits in the queue past its 1 ms budget: evicted at flush.
+            busy = asyncio.ensure_future(
+                service.handle("POST", "/v1/compute", _body(_DPU))
             )
-            snapshot = service.metrics.to_dict()
-            return response, snapshot
+            while service.in_flight == 0:
+                await asyncio.sleep(0)
+            doomed = asyncio.ensure_future(
+                service.handle(
+                    "POST",
+                    "/v1/compute",
+                    _body(dict(_DPU, a_slots=[2, 2], deadline_ms=1)),
+                )
+            )
+            await asyncio.sleep(0.02)
+            gate.set()
+            responses = await asyncio.gather(busy, doomed)
+            return responses, service.metrics.to_dict()
         finally:
             service.close()
 
-    response, snapshot = asyncio.run(main())
-    assert response[0] == 504
+    (busy, doomed), snapshot = asyncio.run(main())
+    assert busy[0] == 200
+    assert doomed[0] == 504
     assert snapshot["counters"]["serve_deadline_evictions_total"] == 1
+    assert snapshot["counters"]["serve_batches_total"] == 1
 
 
 def test_generous_deadline_still_succeeds():
     async def main():
-        config = ServeConfig(port=0, workers=0, max_batch=4, max_wait_us=500)
+        config = ServeConfig(port=0, workers=0, max_batch=4)
         service = ServeService(config)
         try:
             return await service.handle(
@@ -163,9 +181,7 @@ def test_generous_deadline_still_succeeds():
 
 def test_draining_rejects_new_work_but_finishes_old():
     async def main():
-        config = ServeConfig(
-            port=0, workers=0, max_batch=8, max_wait_us=50_000
-        )
+        config = ServeConfig(port=0, workers=0, max_batch=8)
         service = ServeService(config)
         gate = asyncio.Event()
         real_execute = service.tier.execute
@@ -202,7 +218,7 @@ def test_draining_rejects_new_work_but_finishes_old():
 
 def test_cache_hits_bypass_the_batcher():
     async def main():
-        config = ServeConfig(port=0, workers=0, max_batch=8, max_wait_us=500)
+        config = ServeConfig(port=0, workers=0, max_batch=8)
         service = ServeService(config)
         try:
             cold = await service.handle("POST", "/v1/compute", _body(_DPU))
@@ -246,7 +262,7 @@ def test_stats_shape_and_source_digest():
 # -- socket-level tests ----------------------------------------------------------
 def test_http_round_trip_metrics_and_keep_alive():
     with start_server_thread(
-        ServeConfig(port=0, workers=0, max_batch=4, max_wait_us=500)
+        ServeConfig(port=0, workers=0, max_batch=4)
     ) as server:
         status, payload = server.post_json("/v1/compute", _DPU)
         assert status == 200 and payload["ok"] is True
@@ -261,20 +277,51 @@ def test_http_round_trip_metrics_and_keep_alive():
         assert 'le="+Inf"' in text
 
 
-def test_http_parse_errors_close_cleanly():
-    import socket
+def _raw_exchange(port, request):
+    """Send raw bytes; read everything until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as raw:
+        raw.sendall(request)
+        chunks = []
+        while True:
+            chunk = raw.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
+
+def _split_response(data):
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+def test_http_parse_errors_close_cleanly():
     with start_server_thread(ServeConfig(port=0, workers=0)) as server:
-        raw = socket.create_connection(("127.0.0.1", server.port), timeout=5)
-        try:
-            raw.sendall(b"GARBAGE-WITHOUT-SPACES\r\n\r\n")
-            raw.settimeout(5)
-            assert raw.recv(1024) == b""  # server just closes
-        finally:
-            raw.close()
+        data = _raw_exchange(server.port, b"GARBAGE-WITHOUT-SPACES\r\n\r\n")
+        status, headers, body = _split_response(data)
+        assert status == 400 and headers["Connection"] == "close"
+        assert body == {"error": "malformed request line", "ok": False}
         # ... and the server still serves afterwards.
         status, _ = server.get_json("/healthz")
         assert status == 200
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [("abc", 400), ("-1", 400), ("99999999", 413)],
+)
+def test_http_bad_content_length_gets_a_status_before_the_body(length, status):
+    with start_server_thread(ServeConfig(port=0, workers=0)) as server:
+        # No body follows: the answer must not wait for one.
+        request = (
+            f"POST /v1/compute HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        )
+        got, headers, body = _split_response(
+            _raw_exchange(server.port, request.encode())
+        )
+        assert got == status and headers["Connection"] == "close"
+        assert body["ok"] is False and length in body["error"]
 
 
 def test_ephemeral_port_binding_reports_real_port():
@@ -324,7 +371,6 @@ def test_model_ops_over_http(payload, expected_status):
         ("port", -1),
         ("port", 70_000),
         ("max_batch", 0),
-        ("max_wait_us", -1),
         ("workers", -1),
         ("max_pending", 0),
         ("cache_entries", -1),
@@ -339,7 +385,6 @@ def test_config_rejects_out_of_range_fields(field, value):
 
 
 def test_config_accepts_its_edge_values():
-    config = ServeConfig(port=65_535, max_batch=1, max_wait_us=0, workers=0,
-                         max_pending=1, cache_entries=0, drain_grace_s=0.0,
-                         latency_window=1)
+    config = ServeConfig(port=65_535, max_batch=1, workers=0, max_pending=1,
+                         cache_entries=0, drain_grace_s=0.0, latency_window=1)
     assert ServeConfig(port=0).port == 0 and config.port == 65_535

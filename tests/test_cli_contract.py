@@ -38,7 +38,6 @@ BAD_INPUT = [
     ("trace", ["fig99"]),
     ("serve", ["--max-batch", "0"]),
     ("serve", ["--workers", "2", "--max-batch", "0"]),
-    ("serve", ["--max-wait-us", "-1"]),
     ("serve", ["--workers", "-1"]),
     ("serve", ["--cache-entries", "-1"]),
     ("serve", ["--port", "70000"]),
