@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Gate a pytest-benchmark JSON run against the committed baseline.
 
-Five always-on checks, the most machine-independent ones first, plus an
-opt-in sixth:
+Four always-on checks, the most machine-independent ones first, plus an
+opt-in fifth:
 
 1. **Kernel speedup ratio** (within the new run, so host speed cancels
    out): for every pair ``<name>_reference_kernel`` /
@@ -11,15 +11,7 @@ opt-in sixth:
    property the compiled kernel exists for; losing it is a regression no
    matter how fast the host is.
 
-2. **Batch throughput floor** (also within the new run): for every pair
-   ``<name>_batch_kernel`` / ``<name>_sealed_kernel`` that recorded
-   per-run event counts in ``extra_info``, the batch kernel's aggregate
-   events/s must be at least ``--min-batch-speedup`` (default 50x) times
-   the sealed kernel's — the fleet-scale property the batch kernel
-   exists for.  Skipped when the run has no ``*_batch_kernel``
-   benchmarks.
-
-3. **Shard speedup floor** (``--min-shard-speedup``, default 2.5x, also
+2. **Shard speedup floor** (``--min-shard-speedup``, default 2.5x, also
    within the new run): for every pair ``<name>_shard_k<K>`` /
    ``<name>_shard_mono``, the K-worker partitioned run must beat the
    monolithic sealed run on wall clock.  CPU-aware: lanes whose
@@ -27,7 +19,7 @@ opt-in sixth:
    1-CPU container cannot demonstrate parallel speedup), so the floor
    only bites where it is physically meaningful.
 
-4. **Serve coalescing floor** (``--min-serve-speedup``, default 0.8x,
+3. **Serve coalescing floor** (``--min-serve-speedup``, default 0.8x,
    also within the new run): for every pair ``<name>_serve_coalesced``
    / ``<name>_serve_solo`` that recorded per-run request counts in
    ``extra_info``, the micro-batching server's requests/s must be at
@@ -37,7 +29,7 @@ opt-in sixth:
    the best per-request server".  Skipped when the run has no
    ``*_serve_coalesced`` benchmarks.
 
-5. **Relative regression vs baseline**: medians are normalised by the
+4. **Relative regression vs baseline**: medians are normalised by the
    run-wide median of new/baseline ratios, which absorbs the host being
    uniformly slower or faster than the machine that produced
    ``BENCH_baseline.json``.  Any single benchmark whose *normalised*
@@ -45,7 +37,7 @@ opt-in sixth:
    shape of change means one code path got slower, not that CI got a cold
    runner.
 
-6. **Tracing-off overhead** (``--max-trace-overhead``, measured by this
+5. **Tracing-off overhead** (``--max-trace-overhead``, measured by this
    script itself): the public ``Simulator.run()`` — whose only addition
    over the kernel loop is the is-a-trace-session-installed dispatch —
    against the sealed ``_run`` loop called directly, interleaved in one
@@ -87,7 +79,6 @@ from typing import Dict, List, Optional, Tuple
 
 _REF_SUFFIX = "_reference_kernel"
 _SEALED_SUFFIX = "_sealed_kernel"
-_BATCH_SUFFIX = "_batch_kernel"
 _SHARD_MONO_SUFFIX = "_shard_mono"
 _SHARD_K_MARKER = "_shard_k"
 _SERVE_COALESCED_SUFFIX = "_serve_coalesced"
@@ -101,18 +92,6 @@ def load_medians(path: Path) -> Dict[str, float]:
     return {
         bench["name"]: bench["stats"]["median"]
         for bench in document["benchmarks"]
-    }
-
-
-def load_events(path: Path) -> Dict[str, int]:
-    """``benchmark name -> events per run`` (from ``extra_info``), where
-    the benchmark recorded one."""
-    with open(path) as handle:
-        document = json.load(handle)
-    return {
-        bench["name"]: bench["extra_info"]["events"]
-        for bench in document["benchmarks"]
-        if "events" in bench.get("extra_info", {})
     }
 
 
@@ -149,53 +128,6 @@ def check_speedups(
             failures.append(
                 f"sealed kernel only {speedup:.2f}x faster than reference "
                 f"on {reference[: -len(_REF_SUFFIX)]} (need {min_speedup:.2f}x)"
-            )
-
-
-def check_batch_throughput(
-    new: Dict[str, float],
-    events: Dict[str, int],
-    min_speedup: float,
-    failures: List[str],
-) -> None:
-    """Fleet-scale floor: for every ``<name>_batch_kernel`` /
-    ``<name>_sealed_kernel`` pair that recorded per-run event counts, the
-    batch kernel's aggregate events/s must be at least ``min_speedup``
-    times the sealed kernel's.  Rates come from the same run, so host
-    speed cancels out; workloads may differ per kernel (the batch side
-    runs 1024 lanes), which is why this compares events/s rather than raw
-    medians.
-    """
-    batch_names = [name for name in sorted(new) if name.endswith(_BATCH_SUFFIX)]
-    if not batch_names:
-        print("  (no *_batch_kernel benchmarks in this run)")
-        return
-    for batch in batch_names:
-        sealed = batch[: -len(_BATCH_SUFFIX)] + _SEALED_SUFFIX
-        if sealed not in new:
-            failures.append(f"{batch} has no {sealed} counterpart")
-            continue
-        missing = [n for n in (batch, sealed) if n not in events]
-        if missing:
-            failures.append(
-                f"{', '.join(missing)}: no extra_info['events'] recorded; "
-                "cannot gate batch throughput"
-            )
-            continue
-        batch_rate = events[batch] / new[batch]
-        sealed_rate = events[sealed] / new[sealed]
-        speedup = batch_rate / sealed_rate
-        verdict = "ok" if speedup >= min_speedup else "FAIL"
-        print(
-            f"  batch throughput {batch[: -len(_BATCH_SUFFIX)]}: "
-            f"{batch_rate:,.0f} vs {sealed_rate:,.0f} events/s "
-            f"({speedup:.0f}x, floor {min_speedup:.0f}x) [{verdict}]"
-        )
-        if speedup < min_speedup:
-            failures.append(
-                f"batch kernel only {speedup:.1f}x the sealed kernel's "
-                f"aggregate events/s on {batch[: -len(_BATCH_SUFFIX)]} "
-                f"(need {min_speedup:.0f}x)"
             )
 
 
@@ -444,15 +376,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "committed results/ measurements track the real figure)",
     )
     parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=50.0,
-        metavar="X",
-        help="required batch-vs-sealed aggregate events/s ratio for every "
-        "*_batch_kernel / *_sealed_kernel pair (default: 50.0; skipped "
-        "when the run contains no batch benchmarks)",
-    )
-    parser.add_argument(
         "--min-shard-speedup",
         type=float,
         default=2.5,
@@ -489,10 +412,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures: List[str] = []
     print("kernel speedup gate:")
     check_speedups(new, args.min_speedup, failures)
-    print("batch throughput gate:")
-    check_batch_throughput(
-        new, load_events(Path(args.run)), args.min_batch_speedup, failures
-    )
     extra = load_extra(Path(args.run))
     print("shard speedup gate:")
     check_shard_speedup(new, extra, args.min_shard_speedup, failures)

@@ -93,9 +93,6 @@ def test_stream_fabric_sealed_kernel(benchmark):
     events, merged = benchmark(_run_stream_fabric, "sealed")
     assert merged == _FABRIC_LANES * len(_FABRIC_TRAINS[0])
     assert events > 200_000
-    # Events per run: check_regression.py's batch-throughput gate divides
-    # this by the median to get aggregate events/s for the scalar kernel.
-    benchmark.extra_info["events"] = events
 
 
 def test_stream_fabric_sealed_hotloop(benchmark):

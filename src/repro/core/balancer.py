@@ -185,6 +185,16 @@ class BffRoutingUnit(Element):
     def hazard_events(self) -> int:
         return self._router.hazard_events
 
+    @property
+    def t_bff_fs(self) -> int:
+        """Constructor parameter, readable for ``params()`` replay."""
+        return self._router.t_bff_fs
+
+    @property
+    def coincidence_fs(self) -> int:
+        """Constructor parameter, readable for ``params()`` replay."""
+        return self._router.coincidence_fs
+
     def handle(self, sim, port, time):
         index = self._router.route(port, time)
         output = f"c{index + 1}_{port}"

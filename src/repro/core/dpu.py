@@ -185,13 +185,11 @@ class DotProductUnit:
         request ``i``.  Groups of at least :data:`BATCH_CROSSOVER_LANES`
         rows execute as lanes of one
         :class:`~repro.pulsesim.batch.BatchSimulator` dispatch (compiled
-        once per circuit, event mode — the DPU is stateful); smaller
-        groups run per-row sealed :meth:`run_counts` calls, which are
-        faster there.  Both executors are bit-identical, so the choice
-        never shows in the counts.  This is the execution shape the
-        serving layer's micro-batcher coalesces concurrent requests into;
-        heterogeneous multi-row requests slice their lanes back out with
-        :func:`repro.pulsesim.batch.lane_slices`.
+        once per circuit); smaller groups run per-row sealed
+        :meth:`run_counts` calls, which are faster there.  Both executors
+        are bit-identical, so the choice never shows in the counts.  This
+        is the execution shape the serving layer's micro-batcher coalesces
+        concurrent requests into.
         """
         rows = len(a_slot_rows)
         if rows != len(b_count_rows):

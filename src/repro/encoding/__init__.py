@@ -8,9 +8,7 @@ slots:
 * :mod:`repro.encoding.pulsestream` — a value is the rate of a periodic
   pulse train (``n / n_max`` pulses per epoch), unipolar or bipolar.
 
-:mod:`repro.encoding.epoch` defines the epoch geometry and
-:mod:`repro.encoding.conversion` models the binary <-> unary converters
-(B2RC counters, pulse counters) used at accelerator boundaries.
+:mod:`repro.encoding.epoch` defines the epoch geometry.
 """
 
 from repro.encoding.epoch import EpochSpec
@@ -20,19 +18,11 @@ from repro.encoding.pulsestream import (
     unipolar_from_bipolar,
 )
 from repro.encoding.racelogic import RaceLogicCodec
-from repro.encoding.conversion import (
-    binary_to_rl_slot,
-    pulse_count_to_binary,
-    rl_slot_to_binary,
-)
 
 __all__ = [
     "EpochSpec",
     "PulseStreamCodec",
     "RaceLogicCodec",
-    "binary_to_rl_slot",
     "bipolar_from_unipolar",
-    "pulse_count_to_binary",
-    "rl_slot_to_binary",
     "unipolar_from_bipolar",
 ]

@@ -240,20 +240,31 @@ def _build_structural_fir() -> BuiltBlock:
 
 
 def _build_cgra_fabric() -> BuiltBlock:
-    from repro.cgra.fabric import Fabric, build_fabric_netlist
+    """A 2x2 grid of PEs (Fig 13b), each checked on its own pins.
 
+    Inter-PE traffic rides buffered Race-Logic links outside the netlist,
+    so the fabric is the PEs side by side.
+    """
+    from repro.core.pe import PE_JJ, build_processing_element
+
+    rows = cols = 2
     epoch = EpochSpec(bits=6, slot_fs=tech.T_BFF_FS)
-    fabric = Fabric(rows=2, cols=2, epoch=epoch)
     circuit = Circuit("cgra_fabric")
-    pes = build_fabric_netlist(circuit, fabric)
     entry_points: List[Endpoint] = []
     observed: List[Endpoint] = []
-    for pe in pes:
-        entry_points.extend(pe.input(alias) for alias in pe.input_aliases)
-        observed.extend(pe.output(alias) for alias in pe.output_aliases)
-    config = LintConfig(epoch=epoch, expected_jj=fabric.n_pes * _unipolar_pe_jj())
+    for row in range(rows):
+        for col in range(cols):
+            pe = build_processing_element(circuit, f"pe_r{row}c{col}", epoch)
+            entry_points.extend(pe.input(alias) for alias in pe.input_aliases)
+            observed.extend(pe.output(alias) for alias in pe.output_aliases)
+    n_pes = rows * cols
+    config = LintConfig(epoch=epoch, expected_jj=n_pes * _unipolar_pe_jj())
     return BuiltBlock(
-        target=fabric.describe(),
+        target=(
+            f"{rows}x{cols} U-SFQ fabric, {epoch.bits}-bit epochs "
+            f"({epoch.n_max} slots @ {1e6 / epoch.slot_fs:.0f} GHz pulse "
+            f"rate), {n_pes * PE_JJ:,} JJs of PEs"
+        ),
         circuit=circuit,
         entry_points=entry_points,
         observed_outputs=observed,

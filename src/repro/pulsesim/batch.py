@@ -5,46 +5,35 @@ accuracy studies) run the *same* netlist over and over with different
 stimulus — per-point Python event loops pay the full interpreter cost for
 every lane even though the lanes share all routing.  This module compiles
 a sealed circuit once into a *structure-of-arrays* program executed over a
-leading batch axis of ``B`` independent lanes:
+leading batch axis of ``B`` independent lanes.
 
-* **Masked event mode** (the general case).  A single master event loop
-  pops ``(time, packed_key, opcode, lane_mask)`` entries from one heap.
-  Times and routing are scalar — shared by construction, because every
-  lane runs the same netlist — while the boolean ``(B,)`` mask says which
-  lanes the event exists in.  Cell state lives in NumPy arrays indexed
-  ``[state_row, lane]``, so each opcode updates all masked lanes with a
-  handful of vector operations instead of ``B`` interpreter dispatches.
-  Table cells compile by the same row shapes as the scalar sealed
-  kernel: a store is ``state[s][mask] = c``, a guarded emit computes one
-  fire mask, and the general table op splits the mask by state and
-  moves each part to its next state.
+A single master event loop pops ``(time, packed_key, opcode, lane_mask)``
+entries from one heap.  Times and routing are scalar — shared by
+construction, because every lane runs the same netlist — while the
+boolean ``(B,)`` mask says which lanes the event exists in.  Cell state
+lives in NumPy arrays indexed ``[state_row, lane]``, so each opcode
+updates all masked lanes with a handful of vector operations instead of
+``B`` interpreter dispatches.  Table cells compile by the same row shapes
+as the scalar sealed kernel: a store is ``state[s][mask] = c``, a guarded
+emit computes one fire mask, and the general table op splits the mask by
+state and moves each part to its next state.
 
-  *Soundness*: restricting the master order to any one lane yields a
-  valid scalar ``(time, priority, sequence)`` order.  Entries are pushed
-  in the same relative order a scalar run would push them (stimulus in
-  call order, fanout rows in wire order), masks are immutable once
-  scheduled, and an event only ever spawns events whose masks are subsets
-  of its own — so per lane, the subsequence of events whose mask includes
-  that lane is exactly the scalar run's event sequence.  Sequence numbers
-  differ from a scalar run's, but sequence only breaks ties *within* one
-  (time, priority) class, where the competing batch entries are either
-  copies of the same scalar event or ordered identically.
+*Soundness*: restricting the master order to any one lane yields a valid
+scalar ``(time, priority, sequence)`` order.  Entries are pushed in the
+same relative order a scalar run would push them (stimulus in call order,
+fanout rows in wire order), masks are immutable once scheduled, and an
+event only ever spawns events whose masks are subsets of its own — so per
+lane, the subsequence of events whose mask includes that lane is exactly
+the scalar run's event sequence.  Sequence numbers differ from a scalar
+run's, but sequence only breaks ties *within* one (time, priority) class,
+where the competing batch entries are either copies of the same scalar
+event or ordered identically.
 
-* **Analytic closed form** (feed-forward fast path).  When every cell is
-  a one-state table cell (JTL, splitter) or a zero-dead-time merger — the
-  paper's Race-Logic and pulse-stream interconnect fabrics — the
-  response to one stimulus pulse is a fixed, state-independent tree of
-  arrivals.  The compiler folds each
-  ``(element, input port)`` into a :class:`_Profile` (events spawned,
-  pulses emitted, latest-arrival offset, per-probe delay multisets) and
-  ``run()`` reduces whole stimulus chunks with ``bincount``/``maximum``
-  reductions: no event loop at all, cost independent of pulse count per
-  tap.  This is where the large (50x+) batch speedups come from.
-
-Generic cells (custom ``handle`` or ``emit``) still work in event mode:
-each gets ``B`` per-lane clones (rebuilt from ``Element.params()``), and
-the master loop calls ``clone.handle`` per active lane — correct but not
-vectorized, like the scalar generic-call opcode.
+Only cells with a batch opcode compile: table cells, mergers, balancers
+and the two fault channels.  Any other cell (a custom ``handle`` or
+``emit``) is refused by :func:`compile_batch` with a
+:class:`~repro.errors.ConfigurationError`; such circuits run on the
+scalar kernels.
 
 Fault channels are vectorized natively: every lane draws from its own
 ``numpy.random.Generator`` seeded ``SeedSequence([seed, lane])``, with
@@ -85,57 +74,19 @@ _SEQ_SPAN = 1 << 48
 # Batch opcode kinds.  Table-cell ports use the same shapes as the scalar
 # sealed compiler (:func:`~repro.pulsesim.element.table_shape`).
 # Layouts (op is a plain list):
-_B_CALL = 0  # [0, element, port]                  generic cell, per-lane clones
-_B_DELAY = 1  # [1, dq, taps, rows]                 one state, one output
-_B_MERGER = 2  # [2, midx, dead, dq, taps, rows]     merger (dead time)
-_B_MULTI = 3  # [3, emissions]                      one state, 0 or 2+ outputs
-_B_STORE = 4  # [4, sidx, state]                    no output, state <- constant
-_B_GUARD = 5  # [5, sidx, fire, fire_next, other_next, dq, taps, rows]
+_B_DELAY = 0  # [0, dq, taps, rows]                 one state, one output
+_B_MERGER = 1  # [1, midx, dead, dq, taps, rows]     merger (dead time)
+_B_MULTI = 2  # [2, emissions]                      one state, 0 or 2+ outputs
+_B_STORE = 3  # [3, sidx, state]                    no output, state <- constant
+_B_GUARD = 4  # [4, sidx, fire, fire_next, other_next, dq, taps, rows]
 #               (fire_next resolved: never None, unlike the sealed GUARD)
-_B_TABLE = 6  # [6, sidx, ((next_state, emissions), ...)]  per-state rows
-_B_DROP = 7  # [7, fidx, taps, rows]                DropChannel a
-_B_JITTER = 8  # [8, fidx, taps, rows]                JitterChannel a
-_B_BAL = 9  # [9, bidx, port_bit, t_bff, coinc, em1, em2]  balancer a/b
-
-#: Analytic-mode guards: a splitter tree doubles per level, so profiles
-#: cap the per-arrival tap fanout and event count; circuits past the cap
-#: fall back to the masked event loop.
-_ANALYTIC_TAP_CAP = 4096
-_ANALYTIC_EVENT_CAP = 1 << 20
+_B_TABLE = 5  # [5, sidx, ((next_state, emissions), ...)]  per-state rows
+_B_DROP = 6  # [6, fidx, taps, rows]                DropChannel a
+_B_JITTER = 7  # [7, fidx, taps, rows]                JitterChannel a
+_B_BAL = 8  # [8, bidx, port_bit, t_bff, coinc, em1, em2]  balancer a/b
 
 #: Per-lane RNG buffer length: variates drawn per refill of one lane.
 _RNG_CHUNK = 256
-
-
-class _NotAnalytic(Exception):
-    """Internal: circuit is outside the closed-form fast path."""
-
-
-class _Profile:
-    """Closed-form response of one ``(element, input port)`` to one pulse.
-
-    Attributes:
-        events: Events a scalar kernel would pop per stimulus arrival
-            (including the arrival itself).
-        pulses: Pulses a scalar kernel would emit per stimulus arrival.
-        d_max: Largest event-time offset from the stimulus time (the
-            lane's ``end_time`` contribution).
-        taps: ``tap_index -> int64 array`` of record-time offsets (one
-            entry per pulse recorded at that probe, duplicates kept).
-        mergers: ``merger_index -> int`` largest arrival offset at that
-            merger (its ``_last_accept`` contribution; with zero dead
-            time every arrival is accepted, so the latest arrival is the
-            last accept).
-    """
-
-    __slots__ = ("events", "pulses", "d_max", "taps", "mergers")
-
-    def __init__(self, events, pulses, d_max, taps, mergers):
-        self.events = events
-        self.pulses = pulses
-        self.d_max = d_max
-        self.taps = taps
-        self.mergers = mergers
 
 
 class BatchProgram:
@@ -144,8 +95,6 @@ class BatchProgram:
     Attributes:
         version: Circuit version the program was built from.
         inports: ``(id(element), port) -> (packed_priority_base, op)``.
-        emit_tables: ``id(element) -> {output_port -> (taps, rows)}``,
-            rows with zero base delay, for :meth:`BatchSimulator.emit`.
         tap_index: ``(id(element), output_port) -> recording index`` for
             every probed port.
         tap_keys: ``(element, port)`` per recording index.
@@ -155,28 +104,21 @@ class BatchProgram:
         n_balancers: row count of the balancer Mealy-state arrays
             (toggle state, last arrival, pair-open flag, hazard count).
         fault_specs: ``("drop"|"jitter", element)`` per fault index.
-        generic: elements executed via per-lane clones.
         state_map: ``id(element) -> ((attr, kind, index), ...)`` mapping
             scalar state attributes onto the batch arrays (for the
             differential oracle's state snapshots).
-        analytic: whether the closed-form fast path applies.
-        profiles: ``(id(element), port) -> _Profile`` when analytic.
     """
 
     __slots__ = (
         "version",
         "inports",
-        "emit_tables",
         "tap_index",
         "tap_keys",
         "state_init",
         "n_mergers",
         "n_balancers",
         "fault_specs",
-        "generic",
         "state_map",
-        "analytic",
-        "profiles",
     )
 
 
@@ -184,16 +126,14 @@ def _classify(element: Element) -> str:
     """Opcode family for ``element``, by handle-function identity.
 
     Mirrors the scalar sealed compiler: subclasses inheriting a standard
-    ``handle`` (every :class:`TableCell`, ``IdealMerger``) vectorize;
-    overriding ``handle`` or ``emit`` falls back to the generic
-    per-lane-clone path.
+    ``handle`` (every :class:`TableCell`, ``IdealMerger``) vectorize.  A
+    cell that overrides ``handle`` or ``emit`` has no batch opcode and is
+    refused with :class:`ConfigurationError`.
     """
     from repro.cells.interconnect import Merger
     from repro.core.balancer import Balancer
     from repro.pulsesim.faults import DropChannel, JitterChannel
 
-    if type(element).emit is not Element.emit:
-        return "generic"
     table = {
         TableCell.handle: "table",
         Merger.handle: "merger",
@@ -201,7 +141,14 @@ def _classify(element: Element) -> str:
         JitterChannel.handle: "jitter",
         Balancer.handle: "balancer",
     }
-    return table.get(type(element).handle, "generic")
+    kind = table.get(type(element).handle)
+    if kind is None or type(element).emit is not Element.emit:
+        raise ConfigurationError(
+            f"cell {element.name!r} ({type(element).__name__}) has no batch "
+            "opcode: the batch kernel runs table, merger, balancer, drop and "
+            "jitter cells only; run this circuit on the scalar kernels"
+        )
+    return kind
 
 
 def _table_op(element: TableCell, port: str, s: int, emission) -> list:
@@ -274,29 +221,19 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
         delay = el.delay
         return (delay, taps_of(el, out), rows_of(el, out, delay))
 
-    kinds: Dict[int, str] = {}
     state_init: List[int] = []
     state_map: Dict[int, tuple] = {}
     fault_specs: List[Tuple[str, Element]] = []
-    generic: List[Element] = []
     n_mergers = 0
     n_balancers = 0
-    emit_tables: Dict[int, dict] = {}
     inports: Dict[Tuple[int, str], tuple] = {}
 
     for element in circuit.elements:
         eid = id(element)
         kind = _classify(element)
-        if kind == "table" and len(next(iter(element.TRANSITIONS.values()))) == 1:
-            kind = "fanout"  # one-state table: no state row, analytic-eligible
-        kinds[eid] = kind
-        emit_tables[eid] = {
-            port: (taps_of(element, port), rows_of(element, port, 0))
-            for port in element.output_names
-        }
-        if kind in ("table", "fanout"):
-            s = -1
-            if kind == "table":
+        if kind == "table":
+            s = -1  # a one-state table keeps no state row
+            if len(next(iter(element.TRANSITIONS.values()))) > 1:
                 s = len(state_init)
                 state_init.append(element.INITIAL)
                 state_map[eid] = (("state", "u8", s),)
@@ -331,7 +268,7 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
                 ("state", "bstate", b),
                 ("hazard_events", "bhaz", b),
             )
-        elif kind in ("drop", "jitter"):
+        else:  # "drop" or "jitter"
             f = len(fault_specs)
             fault_specs.append((kind, element))
             code = _B_DROP if kind == "drop" else _B_JITTER
@@ -352,10 +289,6 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
                     ("pulses_displaced", "fault", (f, "lost")),
                     ("max_displacement_fs", "fault", (f, "peak")),
                 )
-        else:
-            generic.append(element)
-            for port in element.input_names:
-                op_of(element, port)[:] = [_B_CALL, element, port]
         for port in element.input_names:
             inports[(eid, port)] = (
                 element.input_priority(port) * _SEQ_SPAN,
@@ -363,99 +296,14 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
             )
 
     prog.inports = inports
-    prog.emit_tables = emit_tables
     prog.tap_index = tap_index
     prog.tap_keys = tap_keys
     prog.state_init = np.asarray(state_init, dtype=np.uint8)
     prog.n_mergers = n_mergers
     prog.n_balancers = n_balancers
     prog.fault_specs = fault_specs
-    prog.generic = generic
     prog.state_map = state_map
-
-    prog.analytic = all(
-        kind == "fanout"
-        or (kind == "merger" and element.dead_time == 0)
-        for element, kind in zip(circuit.elements, kinds.values())
-    ) and bool(circuit.elements)
-    prog.profiles = None
-    if prog.analytic:
-        try:
-            prog.profiles = _build_profiles(circuit, kinds, tap_index)
-        except _NotAnalytic:
-            prog.analytic = False
     return prog
-
-
-def _build_profiles(circuit, kinds, tap_index):
-    """Closed-form :class:`_Profile` per ``(element, input port)``.
-
-    Raises :class:`_NotAnalytic` on feedback loops or when the response
-    tree outgrows the caps (the event loop handles those circuits).
-    """
-    merger_index: Dict[int, int] = {}
-    m = 0
-    for element in circuit.elements:
-        if kinds[id(element)] == "merger":
-            merger_index[id(element)] = m
-            m += 1
-
-    memo: Dict[Tuple[int, str], _Profile] = {}
-
-    def visit(el, port, stack):
-        key = (id(el), port)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if key in stack:
-            raise _NotAnalytic  # feedback loop: no static response tree
-        stack.add(key)
-        events = 1
-        pulses = 0
-        d_max = 0
-        tap_parts: Dict[int, list] = {}
-        mergers: Dict[int, int] = {}
-        kind = kinds[id(el)]
-        if kind == "merger":
-            mergers[merger_index[id(el)]] = 0
-        outs = ("q",) if kind == "merger" else el.TRANSITIONS[port][0][1]
-        for out in outs:
-            dq = el.delay
-            pulses += 1
-            ti = tap_index.get((id(el), out))
-            if ti is not None:
-                tap_parts.setdefault(ti, []).append(
-                    np.asarray([dq], dtype=np.int64)
-                )
-            for wire in circuit._fanout.get((id(el), out), ()):
-                child = visit(wire.sink, wire.sink_port, stack)
-                off = dq + wire.delay
-                events += child.events
-                pulses += child.pulses
-                if events > _ANALYTIC_EVENT_CAP:
-                    raise _NotAnalytic
-                if off + child.d_max > d_max:
-                    d_max = off + child.d_max
-                for cti, delays in child.taps.items():
-                    tap_parts.setdefault(cti, []).append(delays + off)
-                for cm, cd in child.mergers.items():
-                    if cd + off > mergers.get(cm, -1):
-                        mergers[cm] = cd + off
-        taps = {}
-        for ti, parts in tap_parts.items():
-            merged = np.concatenate(parts)
-            if merged.size > _ANALYTIC_TAP_CAP:
-                raise _NotAnalytic
-            taps[ti] = merged
-        stack.discard(key)
-        prof = _Profile(events, pulses, d_max, taps, mergers)
-        memo[key] = prof
-        return prof
-
-    for element in circuit.elements:
-        for port in element.input_names:
-            visit(element, port, set())
-    return memo
 
 
 class _LaneRng:
@@ -523,21 +371,20 @@ class _JitterState:
 class BatchStats:
     """Per-lane run statistics; scalar-compatible views via :meth:`lane`.
 
-    ``mode`` is ``"analytic"`` or ``"event"``; both produce the same
-    ``events``/``pulses``/``end_time`` a scalar sealed run of each lane
-    would report.  Queue depth is not tracked (the master queue's depth
-    has no per-lane meaning) and ``wall_s`` is the whole-batch wall time.
+    ``events``/``pulses``/``end_time`` are what a scalar sealed run of
+    each lane would report.  Queue depth is not tracked (the master
+    queue's depth has no per-lane meaning) and ``wall_s`` is the
+    whole-batch wall time.
     """
 
-    __slots__ = ("batch", "events", "pulses", "end_time", "wall_s", "mode")
+    __slots__ = ("batch", "events", "pulses", "end_time", "wall_s")
 
-    def __init__(self, batch, events, pulses, end_time, wall_s, mode):
+    def __init__(self, batch, events, pulses, end_time, wall_s):
         self.batch = batch
         self.events = events
         self.pulses = pulses
         self.end_time = end_time
         self.wall_s = wall_s
-        self.mode = mode
 
     @property
     def events_total(self) -> int:
@@ -574,8 +421,8 @@ class BatchSimulator:
     Stimulus must target elements of ``circuit``; probes must be attached
     before the first ``run()`` (the program snapshot carries the tap
     indices).  ``run(until=...)`` bounds simulated time like the scalar
-    kernels and forces the event loop; an unbounded run on an eligible
-    feed-forward circuit takes the analytic fast path.
+    kernels.  A circuit holding a cell without a batch opcode is refused
+    here with :class:`ConfigurationError` (see :func:`compile_batch`).
     """
 
     def __init__(
@@ -613,38 +460,17 @@ class BatchSimulator:
         self._pulses = np.zeros(B, dtype=np.int64)
         self._end = np.zeros(B, dtype=np.int64)
         self._recs: List[list] = [[] for _ in prog.tap_keys]  # (time, mask)
-        self._arecs: List[list] = [[] for _ in prog.tap_keys]  # (times, lanes, delays)
         self._raw: List[tuple] = []
         self._heap: List[tuple] = []
         self._seq = 0
         self._now = 0
-        self._mode: Optional[str] = None
         self._total_events = 0
         self._wall = 0.0
         self._ones = np.ones(B, dtype=bool)
-        self._call_lane: Optional[int] = None
-        self._clone_owner: Dict[int, int] = {}
-        self._clones: Dict[int, list] = {}
-        for element in prog.generic:
-            lanes = [self._make_clone(element) for _ in range(B)]
-            self._clones[id(element)] = lanes
-            for clone in lanes:
-                self._clone_owner[id(clone)] = id(element)
         self._faults = [
             _DropState(el, B) if kind == "drop" else _JitterState(el, B)
             for kind, el in prog.fault_specs
         ]
-
-    def _make_clone(self, element: Element) -> Element:
-        try:
-            return type(element)(element.name, **element.params())
-        except Exception as exc:
-            raise SimulationError(
-                f"cannot build per-lane clones of {element!r}: constructor "
-                f"replay via params() failed ({exc}); give the cell a "
-                "params()-recoverable constructor to run it under the batch "
-                "kernel"
-            ) from exc
 
     def reset(self) -> None:
         """Fresh lanes: state, recordings, stats, RNG streams rewound."""
@@ -755,31 +581,16 @@ class BatchSimulator:
         """Execute all pending stimulus; returns per-lane stats.
 
         ``until`` bounds simulated time (events after it stay queued for a
-        later ``run``) and forces event mode.  Analytic and event results
-        cannot be mixed within one simulator lifetime — ``reset()`` first.
+        later ``run``).
         """
-        prog = self._program
-        if prog.version != self.circuit._version:
+        if self._program.version != self.circuit._version:
             raise SimulationError(
                 "circuit changed (topology or probes) after this "
                 "BatchSimulator was built; construct a new BatchSimulator"
             )
         wall0 = perf_counter()
-        want_event = (
-            until is not None or not prog.analytic or self._mode == "event"
-        )
-        if want_event:
-            if self._mode == "analytic":
-                raise SimulationError(
-                    "cannot continue an analytic batch run in event mode; "
-                    "reset() and reschedule"
-                )
-            self._mode = "event"
-            self._flush_raw_to_heap()
-            self._run_events(until)
-        else:
-            self._mode = "analytic"
-            self._run_analytic()
+        self._flush_raw_to_heap()
+        self._run_events(until)
         self._wall += perf_counter() - wall0
         return BatchStats(
             batch=self.batch,
@@ -787,50 +598,7 @@ class BatchSimulator:
             pulses=self._pulses.copy(),
             end_time=self._end.copy(),
             wall_s=self._wall,
-            mode=self._mode,
         )
-
-    # -- analytic fast path ---------------------------------------------------
-    def _run_analytic(self) -> None:
-        prog = self._program
-        B = self.batch
-        for element, port, times, lanes in self._raw:
-            prof = prog.profiles[(id(element), port)]
-            if lanes is None:
-                n = times.size
-                self._events += prof.events * n
-                self._pulses += prof.pulses * n
-                tmax = int(times.max())
-                np.maximum(self._end, tmax + prof.d_max, out=self._end)
-                for m, dm in prof.mergers.items():
-                    row = self._mlast[m]
-                    np.maximum(row, tmax + dm, out=row)
-                for ti, delays in prof.taps.items():
-                    self._arecs[ti].append((times, None, delays))
-            else:
-                counts = np.bincount(lanes, minlength=B)
-                self._events += prof.events * counts
-                self._pulses += prof.pulses * counts
-                has = counts > 0
-                tmax = np.full(B, -1, dtype=np.int64)
-                np.maximum.at(tmax, lanes, times)
-                np.maximum(
-                    self._end,
-                    np.where(has, tmax + prof.d_max, self._end),
-                    out=self._end,
-                )
-                for m, dm in prof.mergers.items():
-                    row = self._mlast[m]
-                    np.maximum(row, np.where(has, tmax + dm, row), out=row)
-                for ti, delays in prof.taps.items():
-                    self._arecs[ti].append((times, lanes, delays))
-        self._raw.clear()
-        self._total_events = int(self._events.sum())
-        if self._total_events > self.max_events:
-            raise SimulationError(
-                f"exceeded max_events={self.max_events}; "
-                "raise the budget for this batch size"
-            )
 
     # -- masked event loop ----------------------------------------------------
     def _flush_raw_to_heap(self) -> None:
@@ -1017,16 +785,6 @@ class BatchSimulator:
                     for d in np.unique(delay[mask]).tolist():
                         sub = mask & (delay == d)
                         self._emit(t + d, 0, taps, rows, sub)
-                elif kind == _B_CALL:
-                    element, port = op[1], op[2]
-                    clones = self._clones[id(element)]
-                    self._now = now
-                    try:
-                        for lane in np.flatnonzero(mask).tolist():
-                            self._call_lane = lane
-                            clones[lane].handle(self, port, t)
-                    finally:
-                        self._call_lane = None
                 else:  # pragma: no cover - compiler invariant
                     raise SimulationError(
                         f"corrupt batch program (kind {kind!r})"
@@ -1035,23 +793,6 @@ class BatchSimulator:
             self._now = now
         if until is not None:
             np.maximum(self._end, until, out=self._end)
-
-    def emit(self, source: Element, port: str, time: int) -> None:
-        """Pulse delivery for generic-cell callbacks (single-lane mask)."""
-        lane = self._call_lane
-        if lane is None:
-            raise SimulationError(
-                "BatchSimulator.emit is only valid inside a cell callback"
-            )
-        eid = self._clone_owner.get(id(source), id(source))
-        table = self._program.emit_tables.get(eid)
-        row = table.get(port) if table is not None else None
-        if row is None:
-            self._pulses[lane] += 1
-            return
-        mask = np.zeros(self.batch, dtype=bool)
-        mask[lane] = True
-        self._emit(time, 0, row[0], row[1], mask)
 
     # -- results --------------------------------------------------------------
     def _tap(self, element: Element, port: str) -> int:
@@ -1067,11 +808,6 @@ class BatchSimulator:
         """Per-lane pulse count ``(batch,)`` recorded at a probed port."""
         ti = self._tap(element, port)
         out = np.zeros(self.batch, dtype=np.int64)
-        for times, lanes, delays in self._arecs[ti]:
-            if lanes is None:
-                out += times.size * delays.size
-            else:
-                out += np.bincount(lanes, minlength=self.batch) * delays.size
         for _t, mask in self._recs[ti]:
             out += mask
         return out
@@ -1079,34 +815,17 @@ class BatchSimulator:
     def port_times(self, element: Element, port: str, lane: int) -> List[int]:
         """Sorted pulse times recorded at a probed port in one lane."""
         ti = self._tap(element, port)
-        parts = []
-        for times, lanes, delays in self._arecs[ti]:
-            sel = times if lanes is None else times[lanes == lane]
-            if sel.size and delays.size:
-                parts.append((sel[:, None] + delays[None, :]).ravel())
-        direct = [t for t, mask in self._recs[ti] if mask[lane]]
-        if direct:
-            parts.append(np.asarray(direct, dtype=np.int64))
-        if not parts:
-            return []
-        merged = np.concatenate(parts)
-        merged.sort()
-        return merged.tolist()
+        return sorted(t for t, mask in self._recs[ti] if mask[lane])
 
     def element_attr(self, element: Element, attr: str, lane: int, default=None):
         """Scalar-equivalent state attribute of ``element`` in one lane.
 
         Mirrors ``getattr(element, attr, default)`` on a scalar run: the
-        batch arrays are consulted for vectorized cells, the per-lane
-        clone for generic cells, and the element's own (never-touched)
-        attribute as the fallback for state the batch kernel does not
-        model (e.g. stateless cells).
+        batch arrays are consulted for the state they model, and the
+        element's own (never-touched) attribute is the fallback for state
+        the batch kernel does not model (e.g. stateless cells).
         """
-        eid = id(element)
-        clones = self._clones.get(eid)
-        if clones is not None:
-            return getattr(clones[lane], attr, default)
-        for name, kind, idx in self._program.state_map.get(eid, ()):
+        for name, kind, idx in self._program.state_map.get(id(element), ()):
             if name != attr:
                 continue
             if kind == "u8":
@@ -1131,33 +850,3 @@ class BatchSimulator:
         return len(self._heap) + sum(
             chunk[2].size for chunk in self._raw
         )
-
-
-# -- per-request lane slicing --------------------------------------------------
-def lane_slices(lane_counts) -> List[slice]:
-    """Contiguous per-request lane ranges for a coalesced batch run.
-
-    The serving layer packs heterogeneous payloads into one
-    :class:`BatchSimulator` run: request ``i`` contributes
-    ``lane_counts[i]`` adjacent lanes (one per dot-product row, epoch,
-    Monte-Carlo sample...).  This returns one :class:`slice` per request,
-    valid into any ``(batch,)``-shaped per-lane array — ``port_counts``,
-    :class:`BatchStats` fields — so results come back out per request:
-
-        >>> lane_slices([2, 1, 3])
-        [slice(0, 2, None), slice(2, 3, None), slice(3, 6, None)]
-
-    Zero-lane requests are allowed (an empty slice keeps positions
-    aligned); negative counts raise :class:`ConfigurationError`.
-    """
-    slices: List[slice] = []
-    start = 0
-    for count in lane_counts:
-        count = int(count)
-        if count < 0:
-            raise ConfigurationError(
-                f"lane counts must be >= 0, got {count}"
-            )
-        slices.append(slice(start, start + count))
-        start += count
-    return slices

@@ -119,9 +119,11 @@ def default_cell_registry() -> Dict[str, Type[Element]]:
     """Cell classes :func:`import_netlist` can instantiate, keyed by the
     ``type`` name :func:`netlist_description` emits.
 
-    Covers the whole standard-cell library (:mod:`repro.cells`) and the
-    fault channels (:mod:`repro.pulsesim.faults`).  Callers with custom
-    cells pass ``registry={**default_cell_registry(), "MyCell": MyCell}``.
+    Covers the whole standard-cell library (:mod:`repro.cells`), the
+    composite cells of the shipped blocks (balancers, integrators, RL
+    memory cells) and the fault channels (:mod:`repro.pulsesim.faults`).
+    Callers with custom cells pass
+    ``registry={**default_cell_registry(), "MyCell": MyCell}``.
     """
     from repro.cells.bff import Bff
     from repro.cells.clocked import ClockedAnd, ClockedOr, ClockedXor
@@ -131,12 +133,15 @@ def default_cell_registry() -> Dict[str, Type[Element]]:
     from repro.cells.noc import NocLink
     from repro.cells.storage import Dff, Dff2, Ndro
     from repro.cells.toggle import Tff, Tff2
+    from repro.core.balancer import Balancer, BffRoutingUnit
+    from repro.core.buffer import PulseIntegrator, RlMemoryCell
     from repro.pulsesim.faults import DropChannel, JitterChannel
 
     classes = (
         Bff, ClockedAnd, ClockedOr, ClockedXor, IdealMerger, Jtl, Merger,
         Splitter, FirstArrival, Inverter, LastArrival, Demux, Mux, Dff,
         Dff2, Ndro, Tff, Tff2, DropChannel, JitterChannel, NocLink,
+        Balancer, BffRoutingUnit, PulseIntegrator, RlMemoryCell,
     )
     return {cls.__name__: cls for cls in classes}
 

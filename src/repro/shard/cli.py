@@ -16,13 +16,15 @@ train and checks the probed ports bit-identical against a monolithic
 sealed run of the same NoC-augmented circuit.
 
 Exit codes: 0 = success (for ``run``: partitioned == monolithic), 1 =
-``run`` divergence, 2 = bad arguments or unknown block.  Blocks built
-from tie-order-sensitive cells (BFF/DFF2 routing) may legitimately
-diverge when two pulses tie to the femtosecond; stagger the stimulus
-(``--stagger-fs``) or pick another block.  Blocks containing composite
-cells outside the export registry (``Balancer``, ``PulseIntegrator``)
-cannot be sharded — shard workers rebuild their piece via
-``import_netlist`` — and exit 2 with the importer's diagnostic.
+``run`` divergence, 2 = bad arguments, unknown block, or a stimulus the
+block refuses.  Shard workers rebuild their piece via ``import_netlist``,
+whose registry holds every cell of the shipped blocks, so every block can
+be sharded.  Blocks built from tie-order-sensitive cells (BFF/DFF2
+routing) may legitimately diverge when two pulses tie to the femtosecond;
+stagger the stimulus (``--stagger-fs``) or pick another block.  The
+synthetic stimulus drives every entry point once per ``--gap-fs``; a
+block with a one-pulse-per-epoch contract (``structural-fir``) needs a
+gap of at least one epoch (``--gap-fs 400000``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from repro import cli
+from repro.errors import ConfigurationError
 from repro.lint.blocks import BuiltBlock, build_shipped_block
 from repro.pulsesim.simulator import Simulator
 from repro.shard.engine import ShardSimulator
@@ -151,6 +154,8 @@ def _stimulus(built: BuiltBlock, pulses: int, gap_fs: int,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.pulses < 1:
+        raise ConfigurationError(f"--pulses must be >= 1, got {args.pulses}")
     built, plan = _plan_for(args)
     trains = _stimulus(built, args.pulses, args.gap_fs, args.stagger_fs)
 

@@ -200,6 +200,10 @@ def _trace(args) -> int:
     if not args.workload:
         raise ConfigurationError("name a workload or pass --list")
     workload = resolve_workload(args.workload)
+    if args.pulse_width is not None and args.pulse_width < 1:
+        raise ConfigurationError(
+            f"--pulse-width must be >= 1 fs, got {args.pulse_width}"
+        )
     for path in (args.vcd, args.perfetto, args.metrics):
         if path:
             make_dir(pathlib.Path(path).parent)
@@ -221,7 +225,7 @@ def _trace(args) -> int:
     if args.vcd:
         from repro.trace.vcd import DEFAULT_PULSE_WIDTH_FS, write_vcd
 
-        width = args.pulse_width or DEFAULT_PULSE_WIDTH_FS
+        width = DEFAULT_PULSE_WIDTH_FS if args.pulse_width is None else args.pulse_width
         buffer = io.StringIO()
         write_vcd(session, buffer, pulse_width_fs=width)
         write_output(args.vcd, buffer.getvalue())

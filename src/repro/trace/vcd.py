@@ -169,6 +169,8 @@ def parse_vcd(text: str) -> dict:
             continue
         if line.startswith("#"):
             time = int(line[1:])
+            if time < 0:
+                raise ValueError(f"line {lineno}: negative timestamp: {raw!r}")
             if times and time < times[-1]:
                 raise ValueError(f"line {lineno}: time goes backwards: {raw!r}")
             if not times or time != times[-1]:

@@ -380,9 +380,9 @@ def oracle_batch_differential(spec: NetlistSpec) -> OracleResult:
     One :class:`~repro.pulsesim.batch.BatchSimulator` runs
     :data:`BATCH_LANES` lanes whose stimulus trains are distinct prefixes
     of the spec's stimulus; each lane is then compared against a fresh
-    scalar sealed run of the same prefix on recordings (sorted — the
-    batch kernel's analytic mode does not define an emission order within
-    one lane), per-lane event/pulse/end-time stats, and the full internal
+    scalar sealed run of the same prefix on recordings (sorted, as
+    :meth:`~repro.pulsesim.batch.BatchSimulator.port_times` returns
+    them), per-lane event/pulse/end-time stats, and the full internal
     cell-state snapshot.  Queue depth is excluded: the master queue's
     depth has no per-lane meaning.
     """
@@ -428,10 +428,9 @@ def oracle_batch_differential(spec: NetlistSpec) -> OracleResult:
         }
         result = _compare("batch-differential", scalar_side, batch_side)
         if not result.ok:
-            result.detail = f"lane {lane} ({stats.mode}): {result.detail}"
+            result.detail = f"lane {lane}: {result.detail}"
             return result
-    return OracleResult("batch-differential", True, True,
-                        detail=f"mode={stats.mode}")
+    return OracleResult("batch-differential", True, True)
 
 
 def oracle_shard_differential(spec: NetlistSpec) -> OracleResult:

@@ -122,6 +122,8 @@ _TEMPLATES: Dict[str, Element] = {}
 _TEMPLATE_PARAMS: Dict[str, Dict[str, object]] = {
     "DropChannel": {"drop_rate": 0.0},
     "JitterChannel": {"std_fs": 0},
+    "PulseIntegrator": {"slot_fs": 1, "n_max": 1},
+    "RlMemoryCell": {"epoch_fs": 1},
 }
 
 

@@ -2,9 +2,9 @@
 
 Three layers of coverage:
 
-* API semantics — mode selection (analytic vs event), scheduling
-  validation, per-lane drop-rate overrides, reset/RNG rewind, stats
-  shapes, version pinning;
+* API semantics — run/resume, refusal of cells without a batch opcode,
+  scheduling validation, per-lane drop-rate overrides, reset/RNG rewind,
+  stats shapes, version pinning;
 * differential properties — every lane of a batch run must equal a
   scalar ``kernel="sealed"`` run of the same circuit on that lane's
   stimulus (the same netlist strategy the sealed-vs-reference suite
@@ -44,7 +44,7 @@ from tests.strategies import (
 
 
 def ff_fabric():
-    """Analytic-eligible fabric: splitter -> two JTL paths -> ideal merger."""
+    """Feed-forward fabric: splitter -> two JTL paths -> ideal merger."""
     circuit = Circuit("ff")
     split = circuit.add(Splitter("s"))
     j1 = circuit.add(Jtl("j1"))
@@ -59,7 +59,7 @@ def ff_fabric():
 
 
 def tff_circuit():
-    """Stateful (event-mode-only) circuit: JTL -> TFF."""
+    """Stateful circuit: JTL -> TFF."""
     circuit = Circuit("tff")
     jtl = circuit.add(Jtl("j"))
     tff = circuit.add(Tff("t"))
@@ -80,54 +80,50 @@ def drop_circuit(rate=0.5, seed=7):
 TRAIN = [0, 1_000, 1_000, 2_500, 4_000, 4_000, 9_000]
 
 
-class TestModes:
-    def test_feedforward_takes_analytic_path(self):
+class TestRun:
+    def test_feedforward_counts_every_path(self):
         circuit, entry, merger, _probe = ff_fabric()
         sim = BatchSimulator(circuit, batch=3)
         sim.schedule_train(entry, "a", TRAIN)
-        stats = sim.run()
-        assert stats.mode == "analytic"
+        sim.run()
         # Every input pulse reaches the merger twice (both paths).
         assert sim.port_counts(merger, "q").tolist() == [2 * len(TRAIN)] * 3
 
-    def test_until_forces_event_mode(self):
+    def test_until_bounds_end_time(self):
         circuit, entry, merger, _probe = ff_fabric()
         sim = BatchSimulator(circuit, batch=2)
         sim.schedule_train(entry, "a", TRAIN)
         stats = sim.run(until=100_000)
-        assert stats.mode == "event"
         assert stats.end_time.tolist() == [100_000, 100_000]
 
-    def test_stateful_circuit_uses_event_mode(self):
+    def test_stateful_circuit_counts(self):
         circuit, entry, tff, _probe = tff_circuit()
         sim = BatchSimulator(circuit, batch=2)
         sim.schedule_train(entry, "a", TRAIN)
-        stats = sim.run()
-        assert stats.mode == "event"
+        sim.run()
         assert sim.port_counts(tff, "q").tolist() == [len(TRAIN) // 2] * 2
 
-    def test_analytic_then_event_raises_until_reset(self):
-        circuit, entry, _merger, _probe = ff_fabric()
-        sim = BatchSimulator(circuit, batch=2)
-        sim.schedule_train(entry, "a", TRAIN)
-        assert sim.run().mode == "analytic"
-        sim.schedule_input(entry, "a", 50_000)
-        with pytest.raises(SimulationError, match="analytic"):
-            sim.run(until=60_000)
-        sim.reset()
-        sim.schedule_input(entry, "a", 50_000)
-        assert sim.run(until=60_000).mode == "event"
-
-    def test_repeated_analytic_runs_accumulate(self):
+    def test_repeated_runs_accumulate(self):
         circuit, entry, merger, _probe = ff_fabric()
         sim = BatchSimulator(circuit, batch=2)
         sim.schedule_train(entry, "a", TRAIN[:4])
         first = sim.run()
-        sim.schedule_train(entry, "a", TRAIN[4:])
+        # The second chunk starts after the first run ended.
+        later = [t + int(first.end_time.max()) for t in TRAIN[4:]]
+        sim.schedule_train(entry, "a", later)
         second = sim.run()
-        assert second.mode == "analytic"
         assert second.events_total > first.events_total
         assert sim.port_counts(merger, "q").tolist() == [2 * len(TRAIN)] * 2
+
+    def test_cell_without_batch_opcode_is_refused(self):
+        class LateJtl(Jtl):
+            def handle(self, sim, port, time):
+                self.emit(sim, "q", time + self.delay + 1)
+
+        circuit = Circuit("custom")
+        circuit.add(LateJtl("late"))
+        with pytest.raises(ConfigurationError, match=r"'late' \(LateJtl\)"):
+            BatchSimulator(circuit, batch=2)
 
     def test_event_budget_is_enforced(self):
         circuit, entry, _tff, _probe = tff_circuit()
@@ -361,7 +357,7 @@ def test_batch_racelogic_transport_roundtrip(case, stride):
     )
     sim = BatchSimulator(circuit, batch=BATCH_LANES)
     sim.schedule_input(entry, "a", times)
-    assert sim.run().mode == "analytic"
+    sim.run()
     taps = [(tap.source, port)
             for (_eid, port), tap_list in circuit._taps.items()
             for tap in tap_list]

@@ -7,6 +7,7 @@ import pytest
 from repro.cells import Dff, Jtl, Merger, Splitter, Tff
 from repro.core.dpu import build_dpu
 from repro.errors import NetlistError
+from repro.lint.blocks import SHIPPED_BLOCKS, build_shipped_block
 from repro.pulsesim import Circuit, PulseRecorder, Simulator, WaveformProbe
 from repro.pulsesim.export import (
     cell_census,
@@ -197,6 +198,12 @@ def test_import_unknown_probe_type_raises():
     TraceSession(circuit)  # attaches TracePort taps
     with pytest.raises(NetlistError, match="TracePort"):
         import_netlist(netlist_description(circuit))
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_BLOCKS))
+def test_every_shipped_block_round_trips(name):
+    description = netlist_description(build_shipped_block(name).circuit)
+    assert netlist_description(import_netlist(description)) == description
 
 
 def test_registry_covers_the_full_cell_library():

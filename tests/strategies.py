@@ -34,9 +34,9 @@ from repro.verify.oracles import STATE_ATTRS
 #: lane is re-run under the scalar kernel for comparison).
 BATCH_LANES = 4
 
-#: (factory, input ports, output ports).  LastArrival/FirstArrival have no
-#: inline opcode, so drawing them exercises the generic-call path and the
-#: non-monotonic drain mode alongside the compiled opcodes.
+#: (factory, input ports, output ports).  Every cell here has an inline
+#: opcode in both the sealed and the batch kernel, so each drawn netlist
+#: runs on all three kernels.
 CELLS = [
     (Jtl, ("a",), ("q",)),
     (Splitter, ("a",), ("q1", "q2")),
@@ -174,9 +174,9 @@ def lane_trains(stimulus, batch=BATCH_LANES):
 def scalar_comparable(result):
     """Project a :func:`run_case` result onto the batch-comparable keys.
 
-    Recordings are sorted (the batch kernel's analytic mode defines no
-    emission order within a lane) and the master-queue-only stats
-    (``max_queue_depth``, ``now``) are dropped.
+    Recordings are sorted (the batch kernel's ``port_times`` returns them
+    sorted) and the master-queue-only stats (``max_queue_depth``,
+    ``now``) are dropped.
     """
     return {
         "recordings": [sorted(times) for times in result["recordings"]],

@@ -28,6 +28,8 @@ BAD_INPUT = [
     ("shard", ["run", "pnm", "--fifo-depth", "0"]),
     ("shard", ["run", "pnm", "--serialization-fs", "-5", "--hop-latency-fs", "-1"]),
     ("shard", ["partition", "pnm", "--output", "{blocked}/plan.json"]),
+    ("shard", ["run", "pnm", "--pulses", "0"]),
+    ("shard", ["run", "pnm", "--pulses", "-1"]),
     ("synth", ["compile", FIR3, "--out", "{blocked}/fir3.json"]),
     ("verify", ["--max-examples", "-1"]),
     ("verify", ["--max-examples", "0"]),
@@ -36,6 +38,8 @@ BAD_INPUT = [
     ("trace", ["dpu", "--epochs", "0"]),
     ("trace", ["fig16", "--epochs", "1", "--metrics", "{blocked}/m.json"]),
     ("trace", ["fig99"]),
+    ("trace", ["dpu", "--pulse-width", "0"]),
+    ("trace", ["dpu", "--pulse-width", "-5000"]),
     ("serve", ["--max-batch", "0"]),
     ("serve", ["--workers", "2", "--max-batch", "0"]),
     ("serve", ["--workers", "-1"]),

@@ -44,13 +44,6 @@ def test_design_space_explorer_query_mode(capsys):
     assert "U-SFQ" in out
 
 
-def test_cgra_dataflow_kernel(capsys):
-    _run("cgra_dataflow_kernel.py")
-    out = capsys.readouterr().out
-    assert "worst-case error" in out
-    assert "placement" in out
-
-
 def test_pulse_sim_tutorial(capsys):
     _run("pulse_sim_tutorial.py")
     out = capsys.readouterr().out
@@ -67,7 +60,6 @@ def test_pulse_sim_tutorial(capsys):
         "cgra_convolution.py",
         "racelogic_edit_distance.py",
         "design_space_explorer.py",
-        "cgra_dataflow_kernel.py",
         "pulse_sim_tutorial.py",
     ],
 )

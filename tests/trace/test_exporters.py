@@ -16,7 +16,7 @@ from repro.trace import (
     write_vcd,
 )
 from repro.trace.perfetto import trace_document
-from repro.trace.vcd import pulse_intervals, vcd_lines
+from repro.trace.vcd import pulse_intervals
 
 
 def _traced_session():
@@ -65,6 +65,12 @@ def test_parse_vcd_rejects_malformed_documents():
     write_vcd(_traced_session(), good)
     with pytest.raises(ValueError, match="undeclared"):
         parse_vcd(good.getvalue() + "\n1ZZ\n")
+
+
+def test_parse_vcd_rejects_negative_timestamps():
+    header = "$timescale 1 fs $end\n$var wire 1 ! x $end\n$enddefinitions $end\n"
+    with pytest.raises(ValueError, match="negative timestamp"):
+        parse_vcd(header + "#-2000\n1!\n")
 
 
 def test_perfetto_round_trips_and_validates():

@@ -8,6 +8,7 @@ from repro.verify.spec import (
     NetlistSpec,
     WireSpec,
     build,
+    cell_registry,
     pool_outputs,
     remove_cell,
     shift_stimulus,
@@ -94,6 +95,11 @@ def test_template_is_cached_and_unknown_kind_raises():
     assert template("Jtl") is template("Jtl")
     with pytest.raises(VerificationError, match="unknown cell kind"):
         template("Nope")
+
+
+def test_every_registry_kind_has_a_template():
+    for kind in cell_registry():
+        assert template(kind).input_names
 
 
 def test_build_names_probes_and_pool():
