@@ -28,9 +28,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analyze.api import Analysis
+from repro.analyze.api import Analysis, AnalyzeConfig
 from repro.analyze.blocks import analyze_built_block, config_for_block
 from repro.lint.blocks import BuiltBlock, build_shipped_block
 from repro.pulsesim import Simulator
@@ -81,6 +81,15 @@ def _check_proofs(analysis: Analysis) -> None:
     assert report.stats["queue_depth_bound"] is not None
 
 
+def _fresh_analysis(built: BuiltBlock,
+                    config: Optional[AnalyzeConfig] = None) -> Analysis:
+    """One full analysis: the engine leaves each converged fixpoint next
+    to its evaluation plan for the next analysis to take over, so drop
+    them first (the plan stays warm) and time the fixpoint itself."""
+    built.circuit._pulseflow_plan[2].clear()
+    return analyze_built_block(built, config)
+
+
 def _best_of(fn: Callable[[], object], rounds: int, reps: int) -> float:
     """Best mean-per-call over ``rounds`` blocks of ``reps`` calls."""
     best = float("inf")
@@ -95,7 +104,8 @@ def _best_of(fn: Callable[[], object], rounds: int, reps: int) -> float:
 def test_static_analysis_dpu(benchmark):
     """Proof-mode analysis of the shipped DPU (epoch + collision proofs)."""
     built = build_shipped_block("dpu")
-    analysis = benchmark(analyze_built_block, built)
+    analyze_built_block(built)  # warm the evaluation plan
+    analysis = benchmark(_fresh_analysis, built)
     _check_proofs(analysis)
     assert analysis.fixpoint.iterations == len(built.circuit.elements)
 
@@ -125,7 +135,7 @@ def test_static_vs_simulated_speedup(tmp_path):
     _check_proofs(analysis)
 
     static_s = _best_of(
-        lambda: analyze_built_block(static_block, config), rounds=7, reps=50)
+        lambda: _fresh_analysis(static_block, config), rounds=7, reps=50)
 
     dynamic_configs: List[Tuple[str, str, bool]] = [
         ("reference_traced", "reference", True),

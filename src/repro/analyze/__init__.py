@@ -1,7 +1,6 @@
 """Abstract-interpretation pulse-flow analysis for U-SFQ netlists.
 
-Where :mod:`repro.lint` checks single-number worst-case path sums and
-:mod:`repro.pulsesim` observes one concrete execution, this package
+Where :mod:`repro.pulsesim` observes one concrete execution, this package
 computes *guaranteed bounds* over every execution compatible with a
 stimulus specification: per (element, port) pulse-count intervals
 ``[n_lo, n_hi]``, arrival-time windows ``[t_min, t_max]``, and minimum
@@ -11,13 +10,16 @@ per-cell transfer functions with widening on feedback loops.
 On top of the fixpoint sit derived static checks: epoch-overflow and
 merger-collision proofs with per-path witness chains, dead-path
 detection, a static peak-queue-depth bound for the event kernel, and a
-switching-energy envelope bracketing measured-activity numbers.
+switching-energy envelope bracketing measured-activity numbers.  The
+linter's ``epoch-overflow`` and ``merger-collision`` rules report these
+findings.
 
 Quickstart::
 
-    from repro.analyze import analyze_circuit
-    analysis = analyze_circuit(circuit, entry_points=[(src, "a")],
-                               epoch=EpochSpec(bits=8, slot_fs=5_000))
+    from repro.analyze import AnalyzeConfig, analyze_circuit
+    analysis = analyze_circuit(
+        circuit, entry_points=[(src, "a")],
+        config=AnalyzeConfig(epoch=EpochSpec(bits=8, slot_fs=5_000)))
     assert analysis.report.ok, analysis.report.format_text()
 
 CLI: ``python -m repro.analyze --all-blocks`` or the ``usfq-analyze``

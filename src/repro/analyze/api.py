@@ -3,9 +3,9 @@
 Two entry abstractions cover the two use cases:
 
 * **proof mode** (no ``stimulus``): every entry port carries *at most
-  one* pulse at t = 0 — the linter's worst-case-path convention — so
-  epoch/collision conclusions are proofs over the block's single-wave
-  operating regime;
+  one* pulse at t = 0 — the single-wave convention the linter's timing
+  rules report — so epoch/collision conclusions are proofs over the
+  block's single-wave operating regime;
 * **stimulus mode** (``stimulus`` maps entry ports to concrete pulse
   trains): every entry carries the *exact* abstraction of its train, so
   the bounds are directly comparable to one simulation — the contract
@@ -14,7 +14,7 @@ Two entry abstractions cover the two use cases:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -34,9 +34,9 @@ from repro.analyze.domain import (
     single_pulse_bounds,
     stimulus_bounds,
 )
-from repro.analyze.engine import WIDEN_AFTER, FixpointResult, fixpoint
-from repro.analyze.transfer import epoch_latency_fs, epoch_relative_transfer
+from repro.analyze.engine import FixpointResult, fixpoint
 from repro.analyze.report import AnalysisReport, Finding
+from repro.analyze.transfer import epoch_latency_fs, epoch_relative_transfer
 from repro.encoding.epoch import EpochSpec
 from repro.lint.graph import CircuitGraph, Endpoint
 from repro.pulsesim.element import Element
@@ -54,8 +54,6 @@ class AnalyzeConfig:
     epoch: Optional[EpochSpec] = None
     #: Check names whose findings are recorded but not counted.
     waive: FrozenSet[str] = frozenset()
-    #: Element revisits before widening engages (feedback loops only).
-    widen_after: int = WIDEN_AFTER
 
 
 @dataclass
@@ -153,7 +151,6 @@ def analyze_circuit(
     stimulus: Optional[Mapping[Endpoint, Sequence[int]]] = None,
     target: Optional[str] = None,
     graph: Optional[CircuitGraph] = None,
-    epoch: Optional[EpochSpec] = None,
 ) -> Analysis:
     """Abstract-interpret ``circuit`` and derive the static checks.
 
@@ -162,18 +159,14 @@ def analyze_circuit(
         entry_points: ``(element, input_port)`` pairs driven externally.
         observed_outputs: ``(element, output_port)`` block outputs;
             probed ports are always observed.
-        config: Policy (epoch to prove, waivers, widening threshold).
+        config: Policy (epoch to prove, waivers).
         stimulus: Optional exact pulse trains per entry endpoint; keys
             not in ``entry_points`` are added as entries.
         target: Report label (defaults to the circuit name).
         graph: Pre-built :class:`CircuitGraph` to reuse, if the caller
             (e.g. the linter) already paid for one.
-        epoch: Shorthand for ``config.epoch`` when no other policy is
-            needed (ignored if ``config`` already carries an epoch).
     """
     config = config or AnalyzeConfig()
-    if epoch is not None and config.epoch is None:
-        config = replace(config, epoch=epoch)
     entries: List[Endpoint] = list(entry_points)
     if stimulus is not None:
         known = {(id(e), p) for e, p in entries}
@@ -184,8 +177,7 @@ def analyze_circuit(
         graph = CircuitGraph(circuit, entries, observed_outputs)
     entry_bounds = _entry_abstraction(graph, entries, stimulus)
 
-    fx = fixpoint(circuit, graph, entry_bounds,
-                  widen_after=config.widen_after)
+    fx = fixpoint(circuit, graph, entry_bounds)
 
     report = AnalysisReport(target=target or circuit.name)
     stats = report.stats
@@ -195,7 +187,6 @@ def analyze_circuit(
         # epoch boundary, not the path: prove against the epoch-relative
         # fixpoint when any such cell is present.
         epoch_fx = fixpoint(circuit, graph, entry_bounds,
-                            widen_after=config.widen_after,
                             transfer_fn=epoch_relative_transfer)
         scan = checks.scan_outputs(fx)
         epoch_scan: Optional[checks.OutputScan] = checks.scan_outputs(

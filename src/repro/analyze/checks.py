@@ -4,11 +4,12 @@ Each check turns the abstract per-port bounds into findings or derived
 whole-circuit quantities:
 
 * ``epoch-overflow`` — an observed/fanned-out emission window extends
-  past the computing epoch (sharpens the linter's longest-path sum with
-  per-path witness chains);
+  past the computing epoch (with a per-path witness chain);
 * ``merger-collision`` — a merger's combined input stream cannot be
   proven to keep pulses a dead-time apart (and conversely: a proof of
-  collision-freedom when it can);
+  collision-freedom when it can).  When the interval windows overlap,
+  the proof is retried on the exact single-wave arrival sets
+  (:func:`cell_arrival_sets`);
 * ``dead-path`` — a wired input or an observed output that provably
   never carries a pulse under the declared stimulus;
 * peak scheduler queue-depth bound — every scheduled event is either a
@@ -20,7 +21,16 @@ whole-circuit quantities:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.analyze.domain import (
     INF,
@@ -33,7 +43,7 @@ from repro.analyze.report import Finding
 from repro.encoding.epoch import EpochSpec
 from repro.lint.report import Severity
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element
+from repro.pulsesim.element import CellRole, Element, TableCell
 
 #: Witness chains stop after this many hops (enough for every shipped
 #: block; keeps pathological graphs from flooding the report).
@@ -205,23 +215,121 @@ def scan_outputs(fx: FixpointResult,
     )
 
 
-def epoch_check(fx: FixpointResult,
-                epoch: EpochSpec) -> Tuple[List[Finding], Optional[int]]:
-    """Overflow findings plus slack (see :func:`scan_outputs`)."""
-    scan = scan_outputs(fx, epoch)
-    return scan.overflow, scan.slack_fs
+# -- single-wave arrival sets -------------------------------------------------
+#: The distinct times at which pulses may reach one endpoint when every
+#: entry port receives one pulse at t = 0, at most one pulse per time;
+#: ``None`` when unknown.
+ArrivalSet = Optional[FrozenSet[int]]
+
+#: Arrival sets larger than this are treated as unknown.
+SET_CAP = 64
+
+#: Cells that emit each input pulse on at most one output, one cell
+#: delay later, whatever their state: every output carries the union of
+#: all inputs.
+_CONFLUENT = frozenset({"Merger", "IdealMerger", "Balancer",
+                        "BffRoutingUnit"})
+
+_EMPTY: FrozenSet[int] = frozenset()
 
 
-def epoch_overflow_findings(fx: FixpointResult,
-                            epoch: EpochSpec) -> List[Finding]:
-    """Emission windows whose upper edge exceeds the computing epoch."""
-    return epoch_check(fx, epoch)[0]
+def union_arrivals(sets: Iterable[ArrivalSet], shift: int = 0) -> ArrivalSet:
+    """The union of arrival sets, displaced by ``shift``.
+
+    Unknown when an operand is unknown, when two operands share a time
+    (two pulses may coincide), or when the union outgrows
+    :data:`SET_CAP`.
+    """
+    union: Set[int] = set()
+    size = 0
+    for times in sets:
+        if times is None:
+            return None
+        union.update(times)
+        size += len(times)
+    if len(union) != size or size > SET_CAP:
+        return None
+    return frozenset(t + shift for t in union)
 
 
-def epoch_slack_fs(fx: FixpointResult, epoch: EpochSpec) -> Optional[int]:
-    """Epoch budget minus the latest checked emission (negative = overflow;
-    ``None`` when nothing is observed or a window is unbounded)."""
-    return epoch_check(fx, epoch)[1]
+def spaced(times: ArrivalSet, dead_time: int) -> bool:
+    """Whether a known arrival set keeps its pulses a dead time apart."""
+    if times is None:
+        return False
+    ordered = sorted(times)
+    return all(b - a >= dead_time for a, b in zip(ordered, ordered[1:]))
+
+
+def cell_arrival_sets(element: Element,
+                      inputs: Mapping[str, ArrivalSet]) -> Dict[str, ArrivalSet]:
+    """One cell's output arrival sets from its input arrival sets.
+
+    A table cell's output carries the inputs whose ``TRANSITIONS`` rows
+    list it; mergers and balancers carry all their inputs; both shifted
+    by the cell delay.  A ``DropChannel`` passes its input through.  Any
+    other cell's outputs are unknown.
+    """
+    delay = getattr(element, "delay", 0)
+    if isinstance(element, TableCell):
+        table = element.TRANSITIONS
+        return {
+            out: union_arrivals(
+                (inputs[port] for port, rows in table.items()
+                 if any(out in outs for _, outs in rows)),
+                delay,
+            )
+            for out in element.output_names
+        }
+    kind = type(element).__name__
+    if kind in _CONFLUENT:
+        return dict.fromkeys(element.output_names,
+                             union_arrivals(inputs.values(), delay))
+    if kind == "DropChannel":
+        return {"q": inputs["a"]}
+    return dict.fromkeys(element.output_names)
+
+
+def _entry_set(bounds: PulseBounds) -> ArrivalSet:
+    if bounds.is_none:
+        return _EMPTY
+    if bounds.n_hi == 1 and bounds.t_min == bounds.t_max:
+        return frozenset((bounds.t_min,))
+    return None
+
+
+def _input_sets(fx: FixpointResult,
+                outputs: Mapping[int, Dict[str, ArrivalSet]],
+                element: Element) -> Dict[str, ArrivalSet]:
+    """One element's input arrival sets from the output sets known so
+    far.  A port whose bounds carry no pulse gets the empty set; a source
+    not computed yet (a feedback loop) reads as unknown."""
+    eid = id(element)
+    sets: Dict[str, ArrivalSet] = {}
+    for port in element.input_names:
+        if fx.input_bounds(element, port).is_none:
+            sets[port] = _EMPTY
+            continue
+        entry = fx.entry_bounds.get((eid, port))
+        parts: List[ArrivalSet] = [] if entry is None else [_entry_set(entry)]
+        for wire in fx.graph.fan_in(element, port):
+            if fx.output_bounds(wire.source, wire.source_port).is_none:
+                continue
+            source = outputs.get(id(wire.source))
+            parts.append(None if source is None else union_arrivals(
+                (source[wire.source_port],), wire.delay))
+        sets[port] = union_arrivals(parts)
+    return sets
+
+
+def _single_wave_inputs(fx: FixpointResult) -> Dict[int, Dict[str, ArrivalSet]]:
+    """Every element's input arrival sets, by element id, computed in
+    topological order (a feedback loop's residue last)."""
+    inputs: Dict[int, Dict[str, ArrivalSet]] = {}
+    outputs: Dict[int, Dict[str, ArrivalSet]] = {}
+    for element in fx.graph.topological_order()[0]:
+        sets = inputs[id(element)] = _input_sets(fx, outputs, element)
+        outputs[id(element)] = cell_arrival_sets(element, sets)
+    return inputs
 
 
 # -- merger collisions ---------------------------------------------------------
@@ -230,12 +338,17 @@ def merger_collision_findings(
 ) -> Tuple[List[Finding], int, int]:
     """Per merger: prove collision-freedom or flag the offending streams.
 
+    A merger is proved when its superposed input bounds keep pulses a
+    dead time apart, or else when its single-wave input arrival sets are
+    all known, pairwise disjoint, and spaced a dead time apart.
+
     Returns ``(findings, proved, checked)`` where ``checked`` counts
     mergers with a nonzero dead time and at least one live input.
     """
     findings: List[Finding] = []
     proved = 0
     checked = 0
+    waves: Optional[Dict[int, Dict[str, ArrivalSet]]] = None
     for element in fx.circuit.elements:
         if not element.has_role(CellRole.MERGER):
             continue
@@ -249,6 +362,12 @@ def merger_collision_findings(
         checked += 1
         combined = superpose_all(b for _, b in live)
         if combined.n_hi <= 1 or combined.gap >= dead_time:
+            proved += 1
+            continue
+        if waves is None:
+            waves = _single_wave_inputs(fx)
+        sets = waves[id(element)]
+        if spaced(union_arrivals(sets[p] for p, _ in live), dead_time):
             proved += 1
             continue
         findings.append(

@@ -252,9 +252,9 @@ def stimulus_bounds(times: Sequence[int]) -> PulseBounds:
 
 
 def single_pulse_bounds(time: int = 0) -> PulseBounds:
-    """At most one pulse at exactly ``time`` — the entry abstraction that
-    reproduces the linter's worst-case path semantics (a pulse enters
-    each stimulus port at t = 0)."""
+    """At most one pulse at exactly ``time`` — proof mode's single-wave
+    entry abstraction (a pulse enters each stimulus port at t = 0), the
+    convention lint's timing rules report."""
     return PulseBounds(0, 1, time, time, INF)
 
 

@@ -442,8 +442,7 @@ def epoch_latency_fs(element: Element) -> int:
     RL storage cells hold a pulse for one (or ``depth``) full epochs and
     replay it in a later epoch; when proving paths against the computing
     epoch, that latency belongs to the epoch boundary, not the path, so
-    the epoch-relative analysis subtracts it (this is also the linter's
-    longest-path convention: these cells expose no ``delay`` attribute).
+    the epoch-relative analysis subtracts it.
     """
     kind = type(element).__name__
     if kind in ("RlBuffer", "RlMemoryCell"):

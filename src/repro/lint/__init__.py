@@ -11,9 +11,9 @@ Three rule categories:
 * **DRC** — implicit fanout, un-merged fan-in, floating inputs, dead
   elements, dangling outputs, storage-free combinational loops, and
   undriven clock ports;
-* **timing** — worst-case arrival-time analysis against the computing
-  epoch (``2^B`` cycles of t_INV / t_BFF / t_TFF2) and merger
-  collision-window hazards;
+* **timing** — emission windows against the computing epoch (``2^B``
+  cycles of t_INV / t_BFF / t_TFF2) and merger collision hazards, as
+  judged by the pulse-flow analyzer (:mod:`repro.analyze`);
 * **budget** — the structural JJ count cross-checked against the
   analytical :mod:`repro.models.area` figures.
 

@@ -33,8 +33,8 @@ class LintConfig:
     Attributes:
         suppress: Rule names whose diagnostics are dropped (they are still
             counted in :attr:`Report.suppressed`).
-        epoch: Epoch geometry for static timing; ``None`` skips the
-            ``epoch-overflow`` rule.
+        epoch: Epoch geometry the ``epoch-overflow`` rule proves
+            emission windows against; ``None`` skips that rule.
         expected_jj: Analytical JJ figure for the ``jj-budget`` cross-check;
             ``None`` skips it.
         jj_tolerance: Relative divergence accepted as calibration noise.
@@ -83,7 +83,8 @@ def lint_circuit(
         target: Report label; defaults to the circuit name.
     """
     config = config or LintConfig()
-    graph = CircuitGraph(circuit, entry_points, observed_outputs)
+    entries = list(entry_points)
+    graph = CircuitGraph(circuit, entries, observed_outputs)
     ctx = LintContext(
         circuit=circuit,
         graph=graph,
@@ -91,6 +92,7 @@ def lint_circuit(
         expected_jj=config.expected_jj,
         jj_tolerance=config.jj_tolerance,
         actual_jj=actual_jj,
+        entry_points=entries,
     )
     report = Report(target=target or circuit.name)
     for info in rule_catalogue():

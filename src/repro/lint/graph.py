@@ -1,13 +1,14 @@
 """Graph view of a :class:`~repro.pulsesim.netlist.Circuit` for analysis.
 
-The linter's rules all consume this one pre-computed view: per-port fan-in
-and fan-out indexes, element-level adjacency, reachability from the
-stimulus entry points, combinational strongly-connected components, and
-worst-case arrival times (the static-timing substrate).
+The linter's rules and the pulse-flow analyzer (:mod:`repro.analyze`)
+all consume this one pre-computed view: per-port fan-in and fan-out
+indexes, element-level adjacency, reachability from the stimulus entry
+points, a topological order, and combinational strongly-connected
+components.
 
 Storage-role cells (:class:`~repro.pulsesim.element.CellRole.STORAGE`)
-play the role registers play in synchronous STA: they absorb pulses, so
-they legally break feedback loops and terminate timing paths.
+play the role registers play in synchronous logic: they absorb pulses,
+so they legally break feedback loops.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class CircuitGraph:
         circuit: The netlist under analysis.
         entry_points: ``(element, input_port)`` pairs driven by external
             stimulus (block inputs, testbench drives).  These seed
-            reachability and timing; a port that is neither wired nor an
-            entry point is *floating*.
+            reachability; a port that is neither wired nor an entry
+            point is *floating*.
         observed_outputs: ``(element, output_port)`` pairs that are
             architecturally observed (block outputs).  Probed ports are
             always considered observed.
@@ -66,12 +67,9 @@ class CircuitGraph:
         }
         # Element-level adjacency (ids, stable under mutation-free analysis).
         self.successors: Dict[int, List[Wire]] = {id(e): [] for e in circuit.elements}
-        self.predecessors: Dict[int, List[Wire]] = {id(e): [] for e in circuit.elements}
         for wire in circuit.iter_wires():
             self.successors[id(wire.source)].append(wire)
-            self.predecessors[id(wire.sink)].append(wire)
-
-        self._arrivals: Optional[Dict[int, int]] = None
+        self._order: Optional[Tuple[List[Element], bool]] = None
 
     # -- port-level queries -------------------------------------------------
     def fan_out(self, element: Element, port: str) -> List[Wire]:
@@ -104,6 +102,38 @@ class CircuitGraph:
                     frontier.append(wire.sink)
         return seen
 
+    # -- topology ------------------------------------------------------------
+    def topological_order(self) -> Tuple[List[Element], bool]:
+        """Elements, dependencies first (Kahn), with any cyclic residue
+        appended in circuit order; and whether the netlist is acyclic.
+
+        Computed once per graph: the combinational-loop rule and the
+        pulse-flow analyzer's evaluation plan both read it.
+        """
+        if self._order is None:
+            elements = list(self.circuit.elements)
+            indegree: Dict[int, int] = {id(e): 0 for e in elements}
+            for wires in self.successors.values():
+                for wire in wires:
+                    indegree[id(wire.sink)] += 1
+            by_id = {id(e): e for e in elements}
+            ready = deque(e for e in elements if not indegree[id(e)])
+            order: List[Element] = []
+            while ready:
+                element = ready.popleft()
+                order.append(element)
+                for wire in self.successors[id(element)]:
+                    sid = id(wire.sink)
+                    indegree[sid] -= 1
+                    if indegree[sid] == 0:
+                        ready.append(by_id[sid])
+            acyclic = len(order) == len(elements)
+            if not acyclic:  # feedback: append the cyclic residue
+                placed = {id(e) for e in order}
+                order.extend(e for e in elements if id(e) not in placed)
+            self._order = (order, acyclic)
+        return self._order
+
     # -- combinational loops -------------------------------------------------
     def combinational_cycles(self) -> List[List[Element]]:
         """Cycles whose every member lacks the STORAGE role.
@@ -111,8 +141,10 @@ class CircuitGraph:
         Uses Tarjan's SCC algorithm restricted to the subgraph of
         non-storage elements; an SCC of size > 1 (or a self-loop) is a
         pulse racetrack: every cell re-emits immediately, so one pulse
-        circulates forever.
+        circulates forever.  An acyclic netlist has none.
         """
+        if self.topological_order()[1]:
+            return []
         elements = [
             e for e in self.circuit.elements if not e.has_role(CellRole.STORAGE)
         ]
@@ -174,81 +206,3 @@ class CircuitGraph:
             if id(element) not in index:
                 strongconnect(id(element))
         return cycles
-
-    # -- static timing -------------------------------------------------------
-    def arrival_times(self) -> Dict[int, int]:
-        """Worst-case pulse arrival time (fs) at each element's inputs.
-
-        Longest-path analysis from the entry points: a pulse entering at
-        time 0 reaches element ``e`` no later than ``arrival[e]``, where
-        each hop adds the source cell's propagation delay plus the wire
-        delay.  Back edges (feedback already reported by the loop rule, or
-        loops broken by storage cells) are not followed, so the analysis
-        terminates on any netlist.
-        """
-        if self._arrivals is not None:
-            return self._arrivals
-        arrivals: Dict[int, int] = {}
-        WHITE, GRAY, BLACK = 0, 1, 2
-        colour: Dict[int, int] = {}
-        elements = {id(e): e for e in self.circuit.elements}
-
-        order: List[int] = []  # reverse-topological finish order
-
-        for start in self.entry_elements:
-            if colour.get(start, WHITE) != WHITE:
-                continue
-            work: List[Tuple[int, Iterable[Wire]]] = [
-                (start, iter(self.successors[start]))
-            ]
-            colour[start] = GRAY
-            while work:
-                eid, it = work[-1]
-                advanced = False
-                for wire in it:
-                    sid = id(wire.sink)
-                    if colour.get(sid, WHITE) == WHITE:
-                        colour[sid] = GRAY
-                        work.append((sid, iter(self.successors[sid])))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[eid] = BLACK
-                    order.append(eid)
-                    work.pop()
-
-        # Relax in topological order (reverse of finish order).
-        for eid in self.entry_elements:
-            arrivals[eid] = 0
-        for eid in reversed(order):
-            if eid not in arrivals:
-                continue
-            element = elements[eid]
-            departure = arrivals[eid] + element.propagation_delay_fs
-            for wire in self.successors[eid]:
-                sid = id(wire.sink)
-                if colour.get(sid) != BLACK:
-                    continue
-                candidate = departure + wire.delay
-                if candidate > arrivals.get(sid, -1):
-                    # Back/cross edges into GRAY nodes were skipped above;
-                    # re-relaxation over the DAG is monotone and exact.
-                    arrivals[sid] = candidate
-        self._arrivals = arrivals
-        return arrivals
-
-    def wire_arrival(self, wire: Wire) -> Optional[int]:
-        """Worst-case arrival time of pulses delivered by one wire."""
-        arrivals = self.arrival_times()
-        source_arrival = arrivals.get(id(wire.source))
-        if source_arrival is None:
-            return None
-        return source_arrival + wire.source.propagation_delay_fs + wire.delay
-
-    def output_arrival(self, element: Element, port: str) -> Optional[int]:
-        """Worst-case time a pulse leaves ``element.port``."""
-        arrivals = self.arrival_times()
-        arrival = arrivals.get(id(element))
-        if arrival is None:
-            return None
-        return arrival + element.propagation_delay_fs

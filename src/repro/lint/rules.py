@@ -19,18 +19,25 @@ in one line each:
 * Mergers lose one of two pulses arriving within their dead time (Fig 5b).
 * A block's structural JJ total must track the analytical area model it
   calibrates (DESIGN.md section 5).
+
+The two timing rules report the findings of the pulse-flow analyzer
+(:mod:`repro.analyze`) under its single-wave convention: one pulse into
+each entry port at t = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.encoding.epoch import EpochSpec
-from repro.lint.graph import CircuitGraph
+from repro.lint.graph import CircuitGraph, Endpoint
 from repro.lint.report import Diagnostic, Severity
 from repro.pulsesim.element import CellRole
 from repro.pulsesim.netlist import Circuit
+
+if TYPE_CHECKING:
+    from repro.analyze.api import Analysis
 
 
 @dataclass
@@ -45,6 +52,20 @@ class LintContext:
     #: JJ total to compare against ``expected_jj``; defaults to the
     #: circuit's own count but blocks may scope it to their cells.
     actual_jj: Optional[int] = None
+    #: The ``(element, input_port)`` pairs the graph was seeded with.
+    entry_points: Sequence[Endpoint] = ()
+    _analysis: Optional["Analysis"] = field(default=None, repr=False)
+
+    def analysis(self) -> "Analysis":
+        """The pulse-flow analysis behind the timing rules (run once)."""
+        if self._analysis is None:
+            from repro.analyze.api import AnalyzeConfig, analyze_circuit
+
+            self._analysis = analyze_circuit(
+                self.circuit, self.entry_points,
+                config=AnalyzeConfig(epoch=self.epoch), graph=self.graph,
+            )
+        return self._analysis
 
 
 @dataclass(frozen=True)
@@ -291,11 +312,18 @@ def check_no_clock_driver(ctx: LintContext) -> List[Diagnostic]:
     return diagnostics
 
 
-# -- static timing analysis ----------------------------------------------------
-# The rule bodies live in repro.analyze.timing so the linter and the
-# abstract interpreter share one worst-case timing engine; the thin
-# wrappers here keep the rules registered (and their severities
-# registry-controlled) without duplicating the path analysis.
+# -- timing: the pulse-flow analyzer's verdicts --------------------------------
+def _analyzer_diagnostics(ctx: LintContext, name: str) -> List[Diagnostic]:
+    """The analyzer's ``name`` findings, as this rule's diagnostics."""
+    severity = RULES[name].severity
+    return [
+        Diagnostic(rule=name, severity=severity, message=finding.message,
+                   element=finding.element, port=finding.port)
+        for finding in ctx.analysis().report.findings
+        if finding.check == name
+    ]
+
+
 @rule(
     "epoch-overflow",
     "timing",
@@ -305,12 +333,7 @@ def check_no_clock_driver(ctx: LintContext) -> List[Diagnostic]:
 def check_epoch_overflow(ctx: LintContext) -> List[Diagnostic]:
     if ctx.epoch is None:
         return []
-    from repro.analyze.timing import epoch_overflow_diagnostics
-
-    return epoch_overflow_diagnostics(
-        ctx.circuit, ctx.graph, ctx.epoch,
-        severity=RULES["epoch-overflow"].severity,
-    )
+    return _analyzer_diagnostics(ctx, "epoch-overflow")
 
 
 @rule(
@@ -320,12 +343,7 @@ def check_epoch_overflow(ctx: LintContext) -> List[Diagnostic]:
     "Two merger inputs can arrive within the cell's dead time.",
 )
 def check_merger_collision(ctx: LintContext) -> List[Diagnostic]:
-    from repro.analyze.timing import merger_collision_diagnostics
-
-    return merger_collision_diagnostics(
-        ctx.circuit, ctx.graph,
-        severity=RULES["merger-collision"].severity,
-    )
+    return _analyzer_diagnostics(ctx, "merger-collision")
 
 
 # -- area budget ---------------------------------------------------------------

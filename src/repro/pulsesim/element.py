@@ -164,7 +164,7 @@ class Element:
 
     @property
     def propagation_delay_fs(self) -> int:
-        """Worst-case input-to-output delay used by static timing analysis.
+        """Worst-case input-to-output delay of the cell.
 
         Cells store their delay on ``self.delay``; elements without one
         (pure behavioural models) contribute zero.

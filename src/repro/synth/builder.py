@@ -1,17 +1,9 @@
 """Shared netlist-legality helpers (the builder hoist).
 
-Three construction-time legality disciplines used to live in two copies
-each — once in the :mod:`repro.verify` generator (as a construction
-constraint) and once in the lint/analyze rule bodies (as the detection
-counterpart).  They are hoisted here so the random generator, the DRC
-rules, and the synthesis lowering pipeline consume one implementation:
+Two construction-time legality disciplines, shared by the
+:mod:`repro.verify` generator and the synthesis lowering pipeline so
+both build against one implementation of the matching DRC rules:
 
-* **merger spacing** — :func:`space_arrivals` computes the minimal
-  per-input delay bumps that keep static worst-case arrivals at a merger
-  at least one dead time apart; :func:`collision_pairs` is the matching
-  detector (adjacent arrivals, sorted by time, closer than the dead
-  time).  A netlist built with the former produces zero findings from the
-  latter by construction.
 * **explicit fanout** — SFQ outputs drive exactly one sink; fanning out
   requires splitter cells, each contributing a net gain of one output.
   :func:`splitters_needed` counts them; :func:`fanout_chain` materialises
@@ -21,13 +13,17 @@ rules, and the synthesis lowering pipeline consume one implementation:
   recorder so no generated or synthesized circuit has dangling outputs
   (:func:`probe_unconsumed`).
 
-This module deliberately imports only the cell/netlist layer, so both
-``repro.verify`` and ``repro.analyze`` can depend on it without cycles.
+Merger spacing is judged by the pulse-flow analyzer's single-wave
+arrival sets (:func:`repro.analyze.checks.cell_arrival_sets`), which the
+verify generator builds against directly.
+
+This module deliberately imports only the cell/netlist layer, so
+``repro.verify`` can depend on it without cycles.
 """
 
 from __future__ import annotations
 
-from typing import Container, List, Sequence, Tuple, TypeVar
+from typing import Container, List, Sequence, Tuple
 
 from repro.cells.interconnect import Splitter
 from repro.pulsesim.element import Element
@@ -37,8 +33,6 @@ from repro.pulsesim.probe import PulseRecorder
 #: ``(element, port)`` — the endpoint convention shared with
 #: :mod:`repro.lint.graph`.
 Endpoint = Tuple[Element, str]
-
-K = TypeVar("K")
 
 
 def splitters_needed(available: int, required: int) -> int:
@@ -50,53 +44,6 @@ def splitters_needed(available: int, required: int) -> int:
     before wiring any multi-input cell.
     """
     return max(0, required - available)
-
-
-def space_arrivals(arrivals: Sequence[int], dead_time: int) -> List[int]:
-    """Minimal delay bumps making merger-input arrivals collision-free.
-
-    Given the static worst-case arrival time per input port, returns one
-    non-negative bump per port such that, after bumping, arrivals taken
-    in their original time order are at least ``dead_time`` apart.  The
-    sweep is greedy over the ports sorted by original arrival (stable,
-    so ties keep port declaration order): each port is pushed just far
-    enough past its predecessor — exactly the constraint under which
-    :func:`collision_pairs` finds nothing.
-    """
-    bumps = [0] * len(arrivals)
-    if dead_time <= 0 or len(arrivals) < 2:
-        return bumps
-    spaced = list(arrivals)
-    order = sorted(range(len(spaced)), key=lambda i: spaced[i])
-    for earlier, later in zip(order, order[1:]):
-        skew = spaced[later] - spaced[earlier]
-        if skew < dead_time:
-            bump = dead_time - skew
-            bumps[later] += bump
-            spaced[later] += bump
-    return bumps
-
-
-def collision_pairs(
-    arrivals: Sequence[Tuple[K, int]],
-    dead_time: int,
-) -> List[Tuple[Tuple[K, int], Tuple[K, int], int]]:
-    """Adjacent arrival pairs closer than the merger dead time.
-
-    ``arrivals`` is ``(key, worst_case_time)`` per driven input port;
-    the result lists ``(earlier, later, skew)`` for every adjacent pair
-    (sorted by time, stable on ties) with ``skew < dead_time`` — the
-    detection counterpart of :func:`space_arrivals`, and the shared body
-    of the lint/analyze ``merger-collision`` diagnostics.
-    """
-    if dead_time <= 0 or len(arrivals) < 2:
-        return []
-    ordered = sorted(arrivals, key=lambda item: item[1])
-    return [
-        (earlier, later, later[1] - earlier[1])
-        for earlier, later in zip(ordered, ordered[1:])
-        if later[1] - earlier[1] < dead_time
-    ]
 
 
 def fanout_chain(

@@ -26,9 +26,9 @@ staggering each new lane one dead time past the accumulated window.
 
 Under the slot-period floors computed in :mod:`repro.synth.balance`,
 any two pulses meeting at a merger are at least one dead time apart
-(valid runs lose no pulses) and the static worst-case arrival skew at
-every merger is also at least one dead time (the lint/analyze
-``merger-collision`` rule is clean by construction).
+(valid runs lose no pulses); the analyzer's merger proof, which lint's
+``merger-collision`` rule reports, checks the same spacing on the
+single-wave arrivals.
 """
 
 from __future__ import annotations

@@ -16,10 +16,13 @@ dead-element         wires only reference earlier pool outputs, all of which
 dangling-output      the builder probes every unconsumed output
 combinational-loop   pool indexing is topological: the netlist is a DAG
 no-clock-driver      clocked cells have *all* inputs wired, clocks included
-merger-collision     static worst-case input arrivals at merger cells are
-                     spaced at least one dead time apart (wire delays are
-                     bumped using the same longest-path arrival model
-                     :mod:`repro.lint.graph` computes)
+merger-collision     the single-wave arrival sets at a dead-time merger's
+                     inputs are spaced at least one dead time apart: the
+                     later input's wire delay is bumped until they are,
+                     using the analyzer's own per-cell set function
+                     (:func:`repro.analyze.checks.cell_arrival_sets`); a
+                     source whose own set is unknown or unspaced gets an
+                     ``IdealMerger`` instead
 ===================  =========================================================
 
 The harness still lints every generated circuit — not as a filter but as a
@@ -32,18 +35,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
+from repro.analyze.checks import (
+    ArrivalSet,
+    cell_arrival_sets,
+    spaced,
+    union_arrivals,
+)
 from repro.errors import VerificationError
 from repro.pulsesim.element import CellRole
-from repro.synth.builder import space_arrivals, splitters_needed
+from repro.synth.builder import splitters_needed
 from repro.verify.spec import (
     ENTRY_OUTPUTS,
     CellSpec,
     NetlistSpec,
     WireSpec,
     input_ports,
-    output_ports,
     template,
 )
 
@@ -112,24 +120,39 @@ def example_rng(seed: int, example: int) -> random.Random:
 
 
 class _PoolState:
-    """Arrival-annotated pool bookkeeping during generation."""
+    """Pool bookkeeping during generation, one arrival set per slot."""
 
     def __init__(self) -> None:
-        entry_departure = template("Splitter").propagation_delay_fs
-        #: pool slot -> static worst-case departure time of its driver
-        #: (arrival at the driving cell + its propagation delay), the
-        #: longest-path model of :meth:`repro.lint.graph.CircuitGraph.
-        #: arrival_times`.
-        self.departures: List[int] = [entry_departure] * ENTRY_OUTPUTS
+        entry = cell_arrival_sets(template("Splitter"), {"a": frozenset({0})})
+        #: pool slot -> single-wave arrival set of its pulses (the
+        #: analyzer's proof-mode convention: one pulse into ``entry.a``
+        #: at t = 0).
+        self.waves: List[ArrivalSet] = list(entry.values())
         self.available: List[int] = list(range(ENTRY_OUTPUTS))
 
     def consume(self, slot: int) -> None:
         self.available.remove(slot)
 
-    def extend(self, departure: int, count: int) -> None:
-        for _ in range(count):
-            self.available.append(len(self.departures))
-            self.departures.append(departure)
+    def extend(self, waves: Iterable[ArrivalSet]) -> None:
+        for wave in waves:
+            self.available.append(len(self.waves))
+            self.waves.append(wave)
+
+
+def _spacing_bump(fixed: FrozenSet[int], moving: FrozenSet[int],
+                  dead_time: int) -> int:
+    """The smallest delay that puts every pulse of ``moving`` at least a
+    dead time away from every pulse of ``fixed``.
+
+    Each pair forbids the open window of one dead time around
+    ``a - b``; all windows share one width, so a single sweep in order
+    of their centres lands on the first delay outside all of them.
+    """
+    bump = 0
+    for centre in sorted(a - b for a in fixed for b in moving):
+        if centre - dead_time < bump < centre + dead_time:
+            bump = centre + dead_time
+    return bump
 
 
 def _draw_kind(rng: random.Random) -> str:
@@ -148,20 +171,27 @@ def _add_cell(kind: str, rng: random.Random, prof: Profile,
     ports = input_ports(kind)
     sources = rng.sample(pool.available, len(ports))
     delays = [rng.choice(prof.delay_choices) for _ in ports]
-    arrivals = [pool.departures[s] + d for s, d in zip(sources, delays)]
+    waves = [union_arrivals((pool.waves[s],), d)
+             for s, d in zip(sources, delays)]
     cell = template(kind)
     dead_time = getattr(cell, "dead_time", 0)
     if cell.has_role(CellRole.MERGER) and dead_time > 0:
-        # Space static worst-case arrivals >= one dead time apart so the
-        # merger-collision timing rule cannot fire (shared legality
-        # helper, also used by the synthesis builder and the DRC rule).
-        for index, bump in enumerate(space_arrivals(arrivals, dead_time)):
-            delays[index] += bump
-            arrivals[index] += bump
+        # Push the input whose pulses end later until the analyzer can
+        # prove the merger (see the merger-collision row above).
+        first, second = waves
+        if (first is not None and second is not None
+                and spaced(first, dead_time) and spaced(second, dead_time)):
+            later = int(max(second, default=0) >= max(first, default=0))
+            fixed, moving = (first, second) if later else (second, first)
+            bump = _spacing_bump(fixed, moving, dead_time)
+            delays[later] += bump
+            waves[later] = union_arrivals((moving,), bump)
+        if not spaced(union_arrivals(waves), dead_time):
+            kind = "IdealMerger"
+            cell = template(kind)
     for slot in sources:
         pool.consume(slot)
-    departure = max(arrivals) + cell.propagation_delay_fs
-    pool.extend(departure, len(output_ports(kind)))
+    pool.extend(cell_arrival_sets(cell, dict(zip(ports, waves))).values())
     cells.append(CellSpec(kind=kind, inputs=tuple(
         WireSpec(s, d) for s, d in zip(sources, delays)
     )))

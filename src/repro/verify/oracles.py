@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lint.api import lint_circuit
+from repro.pulsesim.element import CellRole
 from repro.pulsesim.simulator import Simulator
 from repro.verify.spec import Built, NetlistSpec, build
 from repro.verify import spec as specmod
@@ -115,19 +116,40 @@ def _compare(name: str, left: Dict, right: Dict,
 
 
 # -- oracles -------------------------------------------------------------------
+def _lost_pulses(built: Built, state: Dict[str, tuple]) -> Dict[str, int]:
+    """Collisions per dead-time merger, from a :func:`state_snapshot`."""
+    index = STATE_ATTRS.index("collisions")
+    return {
+        element.name: state[element.name][index]
+        for element in built.circuit.elements
+        if element.has_role(CellRole.MERGER)
+        and getattr(element, "dead_time", 0) > 0
+        and state[element.name][index]
+    }
+
+
 def oracle_lint_clean(spec: NetlistSpec) -> OracleResult:
-    """Generated circuits must pass every lint rule with zero diagnostics."""
+    """Generated circuits must pass every lint rule with zero diagnostics,
+    and a single-wave run (one pulse into the entry at t = 0, the
+    convention of lint's timing rules) must lose no pulse at a merger."""
     built = build(spec)
     report = lint_circuit(built.circuit,
                           entry_points=[(built.entry, "a")])
-    if not report.diagnostics:
-        return OracleResult("lint-clean", True, True)
-    worst = report.diagnostics[0]
-    return OracleResult(
-        "lint-clean", True, False,
-        detail=f"{len(report.diagnostics)} diagnostics, first: "
-               f"[{worst.rule}] {worst.message}",
-    )
+    if report.diagnostics:
+        worst = report.diagnostics[0]
+        return OracleResult(
+            "lint-clean", True, False,
+            detail=f"{len(report.diagnostics)} diagnostics, first: "
+                   f"[{worst.rule}] {worst.message}",
+        )
+    lost = _lost_pulses(built, run_built(built, (0,))["state"])
+    if lost:
+        return OracleResult(
+            "lint-clean", True, False,
+            detail=f"no diagnostics, yet a single-wave run collides at "
+                   f"{lost}",
+        )
+    return OracleResult("lint-clean", True, True)
 
 
 def oracle_kernel_differential(spec: NetlistSpec) -> OracleResult:
@@ -318,8 +340,11 @@ def oracle_static_soundness(spec: NetlistSpec) -> OracleResult:
     abstraction (repro.analyze stimulus mode), then simulated once; for
     every probed output the observed pulse count, every timestamp, and
     every consecutive spacing must respect the static bounds, and the
-    kernel's peak queue depth must not exceed the static bound.  Any
-    escape disproves a transfer function's soundness argument.
+    kernel's peak queue depth must not exceed the static bound.  A
+    dead-time merger the analyzer left without a finding must not have
+    collided.  Any escape disproves a transfer function's soundness
+    argument (or, for a single-pulse stimulus, the single-wave arrival
+    sets behind a merger proof).
     """
     from repro.analyze import analyze_circuit
     from repro.analyze.domain import INF, describe
@@ -369,6 +394,15 @@ def oracle_static_soundness(spec: NetlistSpec) -> OracleResult:
             "static-soundness", True, False,
             detail=(f"max_queue_depth {observed['max_queue_depth']} exceeds "
                     f"static bound {depth_bound}"),
+        )
+    flagged = {f.element for f in analysis.report.by_check("merger-collision")}
+    lost = {name: count
+            for name, count in _lost_pulses(built, observed["state"]).items()
+            if name not in flagged}
+    if lost:
+        return OracleResult(
+            "static-soundness", True, False,
+            detail=f"collisions at mergers the analyzer proved: {lost}",
         )
     return OracleResult("static-soundness", True, True)
 
@@ -450,7 +484,6 @@ def oracle_shard_differential(spec: NetlistSpec) -> OracleResult:
     sequence numbers legitimately differ) and jitter channels (their RNG
     draw order is the event order).
     """
-    from repro.pulsesim.element import CellRole
     from repro.shard import ShardSimulator, build_noc_circuit, plan_partition
 
     if not spec.cells:

@@ -1,9 +1,11 @@
-"""Static timing analysis: arrival times, epoch overflow, merger collisions."""
+"""Lint's timing rules: epoch overflow and merger collisions, as the
+pulse-flow analyzer judges them under the single-wave convention."""
 
 from repro.cells import Jtl, Merger, Splitter
+from repro.cells.interconnect import IdealMerger
 from repro.encoding import EpochSpec
-from repro.lint import CircuitGraph, LintConfig, Severity, lint_circuit
-from repro.pulsesim import Circuit
+from repro.lint import LintConfig, Severity, lint_circuit
+from repro.pulsesim import Circuit, Simulator
 
 
 def rule_hits(report, rule, severity=None):
@@ -11,46 +13,6 @@ def rule_hits(report, rule, severity=None):
     if severity is not None:
         hits = [d for d in hits if d.severity is severity]
     return hits
-
-
-# -- arrival-time engine -------------------------------------------------------
-def test_arrival_times_accumulate_wire_and_cell_delays():
-    circuit = Circuit()
-    a = circuit.add(Jtl("a", delay=3))
-    b = circuit.add(Jtl("b", delay=5))
-    circuit.connect(a, "q", b, "a", delay=7)
-    circuit.probe(b, "q")
-    graph = CircuitGraph(circuit, entry_points=[(a, "a")])
-    assert graph.output_arrival(a, "q") == 3
-    assert graph.output_arrival(b, "q") == 3 + 7 + 5
-
-
-def test_arrival_times_take_worst_case_path():
-    circuit = Circuit()
-    src = circuit.add(Jtl("src", delay=1))
-    split = circuit.add(Splitter("split", delay=1))
-    fast = circuit.add(Jtl("fast", delay=1))
-    slow = circuit.add(Jtl("slow", delay=100))
-    merger = circuit.add(Merger("m", delay=1, dead_time=0))
-    circuit.connect(src, "q", split, "a")
-    circuit.connect(split, "q1", fast, "a")
-    circuit.connect(split, "q2", slow, "a")
-    circuit.connect(fast, "q", merger, "a")
-    circuit.connect(slow, "q", merger, "b")
-    circuit.probe(merger, "q")
-    graph = CircuitGraph(circuit, entry_points=[(src, "a")])
-    assert graph.output_arrival(merger, "q") == 1 + 1 + 100 + 1
-
-
-def test_arrival_times_terminate_on_cyclic_netlists():
-    circuit = Circuit()
-    a = circuit.add(Jtl("a", delay=2))
-    b = circuit.add(Jtl("b", delay=2))
-    circuit.connect(a, "q", b, "a")
-    circuit.connect(b, "q", a, "a")
-    graph = CircuitGraph(circuit, entry_points=[(a, "a")])
-    # Back edge is skipped; analysis completes with finite arrivals.
-    assert graph.output_arrival(a, "q") >= 2
 
 
 # -- epoch-overflow ------------------------------------------------------------
@@ -71,7 +33,9 @@ def test_epoch_overflow_flagged():
         circuit, entry_points=[(cells[0], "a")], config=config
     )
     hits = rule_hits(report, "epoch-overflow", Severity.ERROR)
-    assert hits and "exceeds" in hits[0].message
+    # One finding per cell that emits after 40 fs: j2 (60 fs) onwards.
+    assert [hit.element for hit in hits] == ["j2", "j3", "j4"]
+    assert "closes at 60 fs, past the 2-bit epoch (40 fs" in hits[0].message
 
 
 def test_epoch_overflow_clean_when_paths_fit():
@@ -109,7 +73,8 @@ def test_merger_collision_flagged_inside_dead_time():
     circuit, entries = _merger_pair(skew=3, dead_time=5)
     report = lint_circuit(circuit, entry_points=entries)
     (hit,) = rule_hits(report, "merger-collision", Severity.WARNING)
-    assert hit.element == "m"
+    assert (hit.element, hit.port) == ("m", "b")
+    assert "may arrive 3 fs apart (< dead time 5 fs)" in hit.message
 
 
 def test_merger_collision_clean_outside_dead_time():
@@ -122,3 +87,29 @@ def test_ideal_merger_has_no_collision_window():
     circuit, entries = _merger_pair(skew=0, dead_time=0)
     report = lint_circuit(circuit, entry_points=entries)
     assert not rule_hits(report, "merger-collision")
+
+
+def test_merger_collision_sees_every_pulse_on_a_port():
+    # An upstream IdealMerger puts two pulses on m.a, 10 ps apart; m.b
+    # lands on the *earlier* one.  Only the latest arrivals (m.a at
+    # 18 ps, m.b at 8 ps) are 10 ps apart, yet one pulse is lost.
+    circuit = Circuit()
+    split = circuit.add(Splitter("split", delay=1_000))
+    fork = circuit.add(Splitter("fork", delay=1_000))
+    join = circuit.add(IdealMerger("join", delay=1_000))
+    m = circuit.add(Merger("m", delay=1_000, dead_time=5_000))
+    circuit.connect(split, "q1", fork, "a")
+    circuit.connect(fork, "q1", join, "a")
+    circuit.connect(fork, "q2", join, "b", delay=10_000)
+    circuit.connect(join, "q", m, "a")
+    circuit.connect(split, "q2", m, "b", delay=2_000)
+    circuit.probe(m, "q")
+    entries = [(split, "a")]
+    (hit,) = rule_hits(lint_circuit(circuit, entry_points=entries),
+                       "merger-collision")
+    assert (hit.element, hit.port) == ("m", "b")
+
+    sim = Simulator(circuit)
+    sim.schedule_input(split, "a", 0)
+    sim.run()
+    assert m.collisions == 1

@@ -1,14 +1,11 @@
 """The shared construction-legality helpers (builder is also consumed by
-the verify generator and the lint/analyze merger rule — see those suites
-for the byte-stability locks)."""
+the verify generator — see its suite for the byte-stability locks)."""
 
 from repro.cells.interconnect import Jtl, Splitter
 from repro.pulsesim import Circuit, PulseRecorder
 from repro.synth.builder import (
-    collision_pairs,
     fanout_chain,
     probe_unconsumed,
-    space_arrivals,
     splitters_needed,
 )
 
@@ -17,39 +14,6 @@ def test_splitters_needed_is_the_shortfall():
     assert splitters_needed(2, 2) == 0
     assert splitters_needed(2, 5) == 3
     assert splitters_needed(5, 2) == 0
-
-
-def test_space_arrivals_bumps_in_arrival_order():
-    # Two coincident arrivals: the later-sorted one is pushed a dead time.
-    assert space_arrivals([0, 0], 5_000) == [0, 5_000]
-    # Already legal: no bumps.
-    assert space_arrivals([0, 6_000], 5_000) == [0, 0]
-    # Chained: each bump is measured against the updated predecessor.
-    bumps = space_arrivals([0, 1_000, 2_000], 5_000)
-    spaced = sorted(a + b for a, b in zip([0, 1_000, 2_000], bumps))
-    assert all(b - a >= 5_000 for a, b in zip(spaced, spaced[1:]))
-
-
-def test_space_arrivals_order_is_stable_for_ties():
-    # Ties keep input order (stable sort): index 0 stays unbumped.
-    bumps = space_arrivals([7, 7], 100)
-    assert bumps == [0, 100]
-
-
-def test_collision_pairs_reports_adjacent_violations_only():
-    arrivals = [("a", 0), ("b", 2_000), ("c", 30_000)]
-    pairs = collision_pairs(arrivals, 5_000)
-    assert len(pairs) == 1
-    (name_a, _ta), (name_b, _tb), skew = pairs[0]
-    assert (name_a, name_b, skew) == ("a", "b", 2_000)
-    assert collision_pairs(arrivals, 1_000) == []
-
-
-def test_collision_pairs_sorts_stably_by_time():
-    arrivals = [("late", 9_000), ("early", 0)]
-    pairs = collision_pairs(arrivals, 10_000)
-    (name_a, _), (name_b, _), skew = pairs[0]
-    assert (name_a, name_b, skew) == ("early", "late", 9_000)
 
 
 def test_fanout_chain_single_consumer_is_a_wire():

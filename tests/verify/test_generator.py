@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.analyze import analyze_circuit
 from repro.errors import VerificationError
 from repro.lint.api import lint_circuit
-from repro.pulsesim.element import CellRole
+from repro.pulsesim import Simulator
 from repro.verify.generator import (
     KIND_WEIGHTS,
     PROFILES,
@@ -59,31 +60,23 @@ def test_generated_circuits_are_lint_clean(spec):
 
 
 def test_merger_arrivals_are_spaced_by_dead_time():
-    # The generator's static arrival model must keep worst-case merger
-    # input skew >= dead_time; mergers appear often enough in 40 specs.
-    from repro.lint.graph import CircuitGraph
-
+    # The analyzer proves every dead-time merger the generator places,
+    # and a single-wave run (one pulse into the entry at t = 0) loses no
+    # pulse; mergers appear often enough in 40 specs.
     prof = profile("ci")
     seen = 0
     for example in range(40):
         spec = generate_spec(example_rng(11, example), prof)
         built = build(spec)
-        graph = CircuitGraph(built.circuit,
-                             entry_points=[(built.entry, "a")])
-        arrivals = graph.arrival_times()
-        for element in built.circuit.elements:
-            dead_time = getattr(element, "dead_time", 0)
-            if not element.has_role(CellRole.MERGER) or not dead_time:
-                continue
-            times = sorted(
-                arrivals[id(wire.source)] + wire.source.propagation_delay_fs
-                + wire.delay
-                for port in element.input_names
-                for wire in built.circuit.wires_into(element, port)
-            )
-            seen += 1
-            for early, late in zip(times, times[1:]):
-                assert late - early >= dead_time
+        stats = analyze_circuit(
+            built.circuit, entry_points=[(built.entry, "a")]).report.stats
+        assert stats["mergers_proved"] == stats["mergers_checked"]
+        seen += stats["mergers_checked"]
+        sim = Simulator(built.circuit)
+        sim.schedule_input(built.entry, "a", 0)
+        sim.run()
+        assert not any(getattr(e, "collisions", 0)
+                       for e in built.circuit.elements)
     assert seen > 0
 
 

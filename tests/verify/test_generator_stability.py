@@ -1,19 +1,21 @@
 """Fixed-seed stability lock on the verify generator's output stream.
 
-The generator's merger-spacing and splitter-growth logic is shared with
-the synthesis builder (:mod:`repro.synth.builder`); these digests were
-captured from the pre-hoist implementation, so any behavioral drift in
-the shared helpers — bump order, tie-breaking, shortfall arithmetic —
-shows up here as a key mismatch before it can silently reshuffle every
-seeded campaign and corpus entry.
+The generator's splitter growth is shared with the synthesis builder
+(:mod:`repro.synth.builder`) and its merger spacing with the analyzer
+(:func:`repro.analyze.checks.cell_arrival_sets`), so any behavioral
+drift in the shared helpers — bump order, tie-breaking, shortfall
+arithmetic — shows up here as a key mismatch before it can silently
+reshuffle every seeded campaign and corpus entry.
 """
 
 import pytest
 
 from repro.verify.generator import example_rng, generate_spec, profile
 
-#: ``profile/seed/example`` -> NetlistSpec.key() of the generated spec,
-#: captured before the legality helpers were hoisted into repro.synth.
+#: ``profile/seed/example`` -> NetlistSpec.key() of the generated spec.
+#: ``nightly/0/1``, ``nightly/0/3`` and ``nightly/1/2`` were re-locked
+#: when merger spacing moved from each input's latest arrival onto the
+#: full single-wave arrival sets; every other digest is unchanged.
 DIGESTS = {
     "smoke/0/0": "413447d20874",
     "smoke/0/1": "488e6ccd965f",
@@ -40,12 +42,12 @@ DIGESTS = {
     "ci/7/2": "9da0d9c63679",
     "ci/7/3": "7c1b94066605",
     "nightly/0/0": "c28506c4f29e",
-    "nightly/0/1": "a8e4cd0152e3",
+    "nightly/0/1": "d0b0cc4516e9",
     "nightly/0/2": "dd2cc59863d9",
-    "nightly/0/3": "a79ac1ea9670",
+    "nightly/0/3": "6637463ac675",
     "nightly/1/0": "b38a09d4e616",
     "nightly/1/1": "3db39097c304",
-    "nightly/1/2": "97e3f7c7c489",
+    "nightly/1/2": "ea8a07474125",
     "nightly/1/3": "82ea5bb6abcb",
     "nightly/7/0": "d56995075f57",
     "nightly/7/1": "781b86f336b2",

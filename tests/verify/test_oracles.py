@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import VerificationError
+from repro.lint.api import lint_circuit
+from repro.lint.report import Report
+from repro.pulsesim import Simulator
+from repro.verify import oracles
 from repro.verify.generator import example_rng, generate_spec, profile
 from repro.verify.oracles import (
     ORACLES,
     TIE_ORDER_SENSITIVE,
     oracle_drop_identity,
     oracle_kernel_differential,
+    oracle_lint_clean,
     oracle_merger_commutativity,
+    oracle_static_soundness,
     oracle_time_shift,
     run_oracle,
 )
-from repro.verify.spec import CellSpec, NetlistSpec, WireSpec
+from repro.verify.spec import CellSpec, NetlistSpec, WireSpec, build
 from tests.strategies import verify_specs
 
 
@@ -26,6 +32,69 @@ def test_full_matrix_holds_on_generated_specs(spec):
         result = oracle(spec)
         assert result.ok, f"{name}: {result.detail}"
         assert result.oracle == name
+
+
+#: ``--profile ci --seed 0`` example 153 as the generator built it while
+#: it spaced only each merger input's latest arrival: lint then reported
+#: nothing, yet the entry pulse leaves c0 twice at the same time and
+#: merger c3 loses two of the four pulses it then receives.
+LATEST_ARRIVAL_SPEC = NetlistSpec(
+    cells=(
+        CellSpec("IdealMerger", (WireSpec(0), WireSpec(1))),
+        CellSpec("Splitter", (WireSpec(2),)),
+        CellSpec("Splitter", (WireSpec(4),)),
+        CellSpec("Merger", (WireSpec(6), WireSpec(5, 5_000))),
+        CellSpec("IdealMerger", (WireSpec(7), WireSpec(3, 1_000))),
+        CellSpec("Tff2", (WireSpec(8, 500),)),
+    ),
+    stimulus=(0,),
+)
+
+
+def test_lint_clean_oracle_rejects_a_single_wave_collision():
+    result = oracle_lint_clean(LATEST_ARRIVAL_SPEC)
+    assert not result.ok
+    assert "[merger-collision]" in result.detail
+
+
+def test_lint_clean_oracle_runs_a_single_wave(monkeypatch):
+    # Were lint ever to pass the circuit, the single-wave run still
+    # catches the lost pulse.
+    monkeypatch.setattr(oracles, "lint_circuit",
+                        lambda *args, **kwargs: Report(target="stub"))
+    result = oracle_lint_clean(LATEST_ARRIVAL_SPEC)
+    assert not result.ok
+    assert "single-wave run collides at {'c3': 2}" in result.detail
+
+
+@pytest.mark.parametrize("example", [112, 153])
+def test_ci_campaign_circuits_keep_what_lint_claims(example):
+    # Both examples were lint-clean yet lost a pulse to a single wave.
+    spec = generate_spec(example_rng(0, example), profile("ci"))
+    built = build(spec)
+    assert not lint_circuit(built.circuit,
+                            entry_points=[(built.entry, "a")]).diagnostics
+    sim = Simulator(built.circuit)
+    sim.schedule_input(built.entry, "a", 0)
+    sim.run()
+    assert not any(getattr(e, "collisions", 0) for e in built.circuit.elements)
+
+
+def test_static_soundness_checks_proved_mergers_for_collisions(monkeypatch):
+    from repro.analyze import checks
+
+    # Stimulus (0,) is a single wave, and c3 is flagged, not proved.
+    assert oracle_static_soundness(LATEST_ARRIVAL_SPEC).ok
+
+    def proves_everything(fx):
+        return [], 1, 1
+
+    monkeypatch.setattr(checks, "merger_collision_findings",
+                        proves_everything)
+    result = oracle_static_soundness(LATEST_ARRIVAL_SPEC)
+    assert not result.ok
+    assert "collisions at mergers the analyzer proved: {'c3': 2}" in \
+        result.detail
 
 
 def test_run_oracle_by_name_and_unknown_name():
