@@ -224,12 +224,6 @@ ArrivalSet = Optional[FrozenSet[int]]
 #: Arrival sets larger than this are treated as unknown.
 SET_CAP = 64
 
-#: Cells that emit each input pulse on at most one output, one cell
-#: delay later, whatever their state: every output carries the union of
-#: all inputs.
-_CONFLUENT = frozenset({"Merger", "IdealMerger", "Balancer",
-                        "BffRoutingUnit"})
-
 _EMPTY: FrozenSet[int] = frozenset()
 
 
@@ -265,9 +259,9 @@ def cell_arrival_sets(element: Element,
     """One cell's output arrival sets from its input arrival sets.
 
     A table cell's output carries the inputs whose ``TRANSITIONS`` rows
-    list it; mergers and balancers carry all their inputs; both shifted
-    by the cell delay.  A ``DropChannel`` passes its input through.  Any
-    other cell's outputs are unknown.
+    list it, shifted by the cell delay (for a merger or balancer: all of
+    them).  A ``DropChannel`` passes its input through.  Any other cell's
+    outputs are unknown.
     """
     delay = getattr(element, "delay", 0)
     if isinstance(element, TableCell):
@@ -275,16 +269,12 @@ def cell_arrival_sets(element: Element,
         return {
             out: union_arrivals(
                 (inputs[port] for port, rows in table.items()
-                 if any(out in outs for _, outs in rows)),
+                 if any(out in row[1] for row in rows)),
                 delay,
             )
             for out in element.output_names
         }
-    kind = type(element).__name__
-    if kind in _CONFLUENT:
-        return dict.fromkeys(element.output_names,
-                             union_arrivals(inputs.values(), delay))
-    if kind == "DropChannel":
+    if type(element).__name__ == "DropChannel":
         return {"q": inputs["a"]}
     return dict.fromkeys(element.output_names)
 

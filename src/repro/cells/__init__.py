@@ -4,8 +4,9 @@ Each cell is a :class:`~repro.pulsesim.element.Element` whose state machine
 matches the published gate semantics.  Every finite-state cell below is a
 :class:`~repro.pulsesim.element.TableCell`: its behaviour is written once,
 as a ``TRANSITIONS`` table that the reference, sealed and batch kernels all
-run.  Only the timed cells keep a hand-written ``handle``: the merger (dead
-time) and :class:`NocLink` (serialization and a bounded FIFO).
+run.  The merger is a timed table (its dead time picks the row); only
+:class:`NocLink` (serialization and a bounded FIFO) keeps a hand-written
+``handle``.
 
 ===========  ================================================================
 Cell         Behaviour (paper Table 1)

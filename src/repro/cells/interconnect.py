@@ -9,7 +9,7 @@ pulse-loss statistics.
 from __future__ import annotations
 
 from repro.models import technology as tech
-from repro.pulsesim.element import CellRole, Element, TableCell
+from repro.pulsesim.element import CellRole, TableCell
 
 
 class Jtl(TableCell):
@@ -34,20 +34,24 @@ class Splitter(TableCell):
     TRANSITIONS = {"a": ((0, ("q1", "q2")),)}
 
 
-class Merger(Element):
+class Merger(TableCell):
     """2:1 confluence buffer with collision dead time.
 
     A pulse at either input normally produces one output pulse.  If a pulse
     arrives less than ``dead_time`` after the previously accepted pulse, it
     is absorbed (the SQUID has not yet recovered) and counted in
     :attr:`collisions` — the error mode of the merger-based unary adder
-    (section 4.2-A).
+    (section 4.2-A).  One state; row 1 is the guarded one (inside the
+    dead time).
     """
 
     INPUTS = ("a", "b")
     OUTPUTS = ("q",)
     ROLES = frozenset({CellRole.MERGER})
     jj_count = tech.JJ_MERGER
+    GUARDS = ("dead_time",)
+    COUNTER = "collisions"
+    TRANSITIONS = dict.fromkeys(INPUTS, ((0, ("q",)), (0, (), 1)))
 
     def __init__(
         self,
@@ -55,22 +59,8 @@ class Merger(Element):
         delay: int = tech.T_MERGER_FS,
         dead_time: int = tech.T_MERGER_DEAD_FS,
     ):
-        super().__init__(name)
-        self.delay = delay
+        super().__init__(name, delay)
         self.dead_time = dead_time
-        self._last_accept: int = None
-        self.collisions = 0
-
-    def handle(self, sim, port, time):
-        if self._last_accept is not None and time - self._last_accept < self.dead_time:
-            self.collisions += 1
-            return
-        self._last_accept = time
-        self.emit(sim, "q", time + self.delay)
-
-    def reset(self):
-        self._last_accept = None
-        self.collisions = 0
 
 
 class IdealMerger(Merger):

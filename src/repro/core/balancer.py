@@ -12,7 +12,9 @@ Two implementations are provided:
   analyses in section 5.4.1 (a pulse landing while the B-flip-flop is mid
   transition is ignored by the control logic and exits through the *same*
   output as its predecessor, slowly biasing the split).  This is the cell
-  used inside counting networks, DPUs, and FIRs.
+  used inside counting networks, DPUs, and FIRs.  It and the routing
+  unit below are one timed transition table each, built by
+  :func:`_routing_rows`, so every kernel runs them inline.
 * :func:`build_structural_balancer` — the paper's two-circuit netlist:
   a :class:`BffRoutingUnit` (the B-flip-flop of Fig 6e with its input
   splitters and output mergers, A -> S1/R2, B -> S2/R1, C1 = Q1 merge !Q1,
@@ -22,11 +24,13 @@ Two implementations are provided:
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.cells.interconnect import Merger, Splitter
 from repro.cells.storage import Dff2
 from repro.models import technology as tech
 from repro.pulsesim.block import Block
-from repro.pulsesim.element import Element, PortSpec
+from repro.pulsesim.element import PortSpec, TableCell
 from repro.pulsesim.netlist import Circuit
 
 #: JJ budget of the balancer block used by the area models: BFF routing unit
@@ -40,75 +44,41 @@ ROUTING_UNIT_JJ = 28
 OUTPUT_STAGE_JJ = BALANCER_JJ - ROUTING_UNIT_JJ
 
 
-class _MealyRouter:
-    """Shared implementation of the balancer Mealy machine (Fig 6c).
+def _routing_rows(port: str, steer) -> tuple:
+    """One input port's rows of the routing Mealy machine (Fig 6c).
 
-    Decides, for each input pulse, which control/output index (0 -> C1/Y1,
-    1 -> C2/Y2) it is steered to, handling the simultaneous-pair case and
-    the t_BFF transition hazard.  Returns the chosen index.
+    State ``toggle + 2 * last_port_was_b + 4 * pair_open``; guard bit 0
+    is the coincidence window, bit 1 the t_BFF transition.  A pulse is
+    steered to ``steer[toggle]`` and flips the toggle, except for:
+
+    * case (ii), the second pulse of a simultaneous pair (inside the
+      coincidence window, on the other port, pair still open): it still
+      takes ``steer[toggle]``, completing the double toggle, and closes
+      the pair;
+    * case (iii), a pulse inside t_BFF otherwise: the control logic
+      ignores it, so it exits through its predecessor's output
+      ``steer[toggle ^ 1]`` without toggling, and is counted as a hazard.
     """
-
-    def __init__(self, t_bff_fs: int, coincidence_fs: int):
-        self.t_bff_fs = t_bff_fs
-        self.coincidence_fs = coincidence_fs
-        self.state = 0
-        self.hazard_events = 0
-        self._last_time = None
-        self._last_port = None
-        self._last_index = None
-        self._pair_open = False
-
-    def route(self, port: str, time: int) -> int:
-        if self._last_time is not None:
-            gap = time - self._last_time
-            if (
-                gap <= self.coincidence_fs
-                and port != self._last_port
-                and self._pair_open
-            ):
-                # Second pulse of a simultaneous pair: complementary output,
-                # completing the double toggle (net state unchanged).
-                index = self.state
-                self.state ^= 1
-                self._pair_open = False
-                self._remember(port, time, index)
-                return index
-            if gap < self.t_bff_fs:
-                # Transition hazard (case iii): the control logic ignores
-                # the pulse; the output stage releases it through the same
-                # port as its predecessor and the state does not toggle.
-                self.hazard_events += 1
-                self._pair_open = False
-                self._remember(port, time, self._last_index)
-                return self._last_index
-        index = self.state
-        self.state ^= 1
-        self._pair_open = True
-        self._remember(port, time, index)
-        return index
-
-    def _remember(self, port, time, index):
-        self._last_time = time
-        self._last_port = port
-        self._last_index = index
-
-    def reset(self):
-        self.state = 0
-        self.hazard_events = 0
-        self._last_time = None
-        self._last_port = None
-        self._last_index = None
-        self._pair_open = False
+    on_b = int(port == "b") << 1
+    rows = []
+    for bits in range(4):
+        for state in range(8):
+            toggle = state & 1
+            if bits & 1 and state & 4 and (state & 2) != on_b:  # case (ii)
+                rows.append((toggle ^ 1 | on_b, (steer[toggle],)))
+            elif bits & 2:  # case (iii)
+                rows.append((toggle | on_b, (steer[toggle ^ 1],), 1))
+            else:
+                rows.append((toggle ^ 1 | on_b | 4, (steer[toggle],)))
+    return tuple(rows)
 
 
-class Balancer(Element):
-    """Behavioural 2:2 balancer with coincidence and transition-hazard model.
+class _RoutingCell(TableCell):
+    """The routing Mealy machine as a timed table, on inputs ``a``/``b``.
 
-    Ports ``a``/``b`` in, ``y1``/``y2`` out.  Timing parameters:
-
-    * ``coincidence_fs`` — pulses on *different* inputs closer than this are
-      simultaneous: one pulse exits each output and the internal state is
-      net-unchanged (Fig 7, the pair at ~7 ps).
+    * ``coincidence_fs`` — pulses on *different* inputs at most this far
+      apart are simultaneous: one pulse exits each output and the
+      internal state is net-unchanged (Fig 7, the pair at ~7 ps).
     * ``t_bff_fs`` — a pulse arriving later than the coincidence window but
       before the flip-flop finished its transition is ignored by the
       control logic and is steered to the same output as the previous
@@ -116,47 +86,32 @@ class Balancer(Element):
     """
 
     INPUTS = (PortSpec("a"), PortSpec("b"))
-    OUTPUTS = ("y1", "y2")
-    jj_count = BALANCER_JJ
+    GUARDS = ("_pair_bound", "t_bff_fs")
+    COUNTER = "hazard_events"
 
     def __init__(
         self,
         name: str,
-        delay: int = tech.T_BALANCER_OUT_FS,
+        delay: Optional[int] = None,
         t_bff_fs: int = tech.T_BFF_FS,
         coincidence_fs: int = 2_000,
     ):
-        super().__init__(name)
-        self.delay = delay
-        self._router = _MealyRouter(t_bff_fs, coincidence_fs)
-
-    @property
-    def state(self) -> int:
-        return self._router.state
-
-    @property
-    def hazard_events(self) -> int:
-        return self._router.hazard_events
-
-    @property
-    def t_bff_fs(self) -> int:
-        """Constructor parameter, readable for ``params()`` replay."""
-        return self._router.t_bff_fs
-
-    @property
-    def coincidence_fs(self) -> int:
-        """Constructor parameter, readable for ``params()`` replay."""
-        return self._router.coincidence_fs
-
-    def handle(self, sim, port, time):
-        index = self._router.route(port, time)
-        self.emit(sim, ("y1", "y2")[index], time + self.delay)
-
-    def reset(self):
-        self._router.reset()
+        super().__init__(name, delay)
+        self.t_bff_fs = t_bff_fs
+        self.coincidence_fs = coincidence_fs
+        self._pair_bound = coincidence_fs + 1
 
 
-class BffRoutingUnit(Element):
+class Balancer(_RoutingCell):
+    """Behavioural 2:2 balancer: ports ``a``/``b`` in, ``y1``/``y2`` out."""
+
+    OUTPUTS = ("y1", "y2")
+    jj_count = BALANCER_JJ
+    DEFAULT_DELAY = tech.T_BALANCER_OUT_FS
+    TRANSITIONS = {port: _routing_rows(port, ("y1", "y2")) for port in "ab"}
+
+
+class BffRoutingUnit(_RoutingCell):
     """The balancer's routing unit (Fig 6f): BFF + splitters + mergers.
 
     Implements the Mealy machine with *per-input* control outputs so the
@@ -166,42 +121,12 @@ class BffRoutingUnit(Element):
     * ``c1_b``/``c2_b`` — control pulses caused by input ``b``.
     """
 
-    INPUTS = (PortSpec("a"), PortSpec("b"))
     OUTPUTS = ("c1_a", "c2_a", "c1_b", "c2_b")
     jj_count = ROUTING_UNIT_JJ
-
-    def __init__(
-        self,
-        name: str,
-        delay: int = tech.T_DFF_FS,
-        t_bff_fs: int = tech.T_BFF_FS,
-        coincidence_fs: int = 2_000,
-    ):
-        super().__init__(name)
-        self.delay = delay
-        self._router = _MealyRouter(t_bff_fs, coincidence_fs)
-
-    @property
-    def hazard_events(self) -> int:
-        return self._router.hazard_events
-
-    @property
-    def t_bff_fs(self) -> int:
-        """Constructor parameter, readable for ``params()`` replay."""
-        return self._router.t_bff_fs
-
-    @property
-    def coincidence_fs(self) -> int:
-        """Constructor parameter, readable for ``params()`` replay."""
-        return self._router.coincidence_fs
-
-    def handle(self, sim, port, time):
-        index = self._router.route(port, time)
-        output = f"c{index + 1}_{port}"
-        self.emit(sim, output, time + self.delay)
-
-    def reset(self):
-        self._router.reset()
+    DEFAULT_DELAY = tech.T_DFF_FS
+    TRANSITIONS = {
+        port: _routing_rows(port, (f"c1_{port}", f"c2_{port}")) for port in "ab"
+    }
 
 
 def build_structural_balancer(circuit: Circuit, name: str) -> Block:

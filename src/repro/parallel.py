@@ -216,6 +216,11 @@ class ProcessActor:
         try:
             self._conn.send((command, payload))
         except (BrokenPipeError, OSError):
+            if not self._ready and self._conn.poll(0):
+                # A failed factory answers the handshake with its traceback
+                # and exits: report that (WorkerError), not the closed pipe.
+                self._recv()
+                self._ready = True
             raise WorkerCrashed(
                 "worker process is gone; cannot submit "
                 f"(exitcode={self._process.exitcode})"

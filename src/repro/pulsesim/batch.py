@@ -16,7 +16,11 @@ updates all masked lanes with a handful of vector operations instead of
 ``B`` interpreter dispatches.  Table cells compile by the same row shapes
 as the scalar sealed kernel: a store is ``state[s][mask] = c``, a guarded
 emit computes one fire mask, and the general table op splits the mask by
-state and moves each part to its next state.
+state and moves each part to its next state.  Timed tables keep a
+per-lane last-emit timer (and counter): the one-guard window op masks
+the lanes inside it, and the general timed op builds each lane's
+``(guard bits, state)`` row code and gathers next state, output group
+and counter bump through per-code arrays.
 
 *Soundness*: restricting the master order to any one lane yields a valid
 scalar ``(time, priority, sequence)`` order.  Entries are pushed in the
@@ -29,11 +33,11 @@ run's, but sequence only breaks ties *within* one (time, priority) class,
 where the competing batch entries are either copies of the same scalar
 event or ordered identically.
 
-Only cells with a batch opcode compile: table cells, mergers, balancers
-and the two fault channels.  Any other cell (a custom ``handle`` or
-``emit``) is refused by :func:`compile_batch` with a
-:class:`~repro.errors.ConfigurationError`; such circuits run on the
-scalar kernels.
+Only cells with a batch opcode compile: table cells (timed ones, such as
+the mergers and balancers, included) and the two fault channels.  Any
+other cell (a custom ``handle`` or ``emit``) is refused by
+:func:`compile_batch` with a :class:`~repro.errors.ConfigurationError`;
+such circuits run on the scalar kernels.
 
 Fault channels are vectorized natively: every lane draws from its own
 ``numpy.random.Generator`` seeded ``SeedSequence([seed, lane])``, with
@@ -75,7 +79,7 @@ _SEQ_SPAN = 1 << 48
 # sealed compiler (:func:`~repro.pulsesim.element.table_shape`).
 # Layouts (op is a plain list):
 _B_DELAY = 0  # [0, dq, taps, rows]                 one state, one output
-_B_MERGER = 1  # [1, midx, dead, dq, taps, rows]     merger (dead time)
+_B_WINDOW = 1  # [1, timer, counter, bound, dq, taps, rows]  one state, 1 guard
 _B_MULTI = 2  # [2, emissions]                      one state, 0 or 2+ outputs
 _B_STORE = 3  # [3, sidx, state]                    no output, state <- constant
 _B_GUARD = 4  # [4, sidx, fire, fire_next, other_next, dq, taps, rows]
@@ -83,10 +87,14 @@ _B_GUARD = 4  # [4, sidx, fire, fire_next, other_next, dq, taps, rows]
 _B_TABLE = 5  # [5, sidx, ((next_state, emissions), ...)]  per-state rows
 _B_DROP = 6  # [6, fidx, taps, rows]                DropChannel a
 _B_JITTER = 7  # [7, fidx, taps, rows]                JitterChannel a
-_B_BAL = 8  # [8, bidx, port_bit, t_bff, coinc, em1, em2]  balancer a/b
+_B_TIMED = 8  # [8, sidx, timer, counter, ((bound, offset), ...), next_state,
+#               group, counted, groups]  timed table, gathered by row code
 
 #: Per-lane RNG buffer length: variates drawn per refill of one lane.
 _RNG_CHUNK = 256
+
+#: Timer value of a lane that has not emitted yet.
+_NEVER = -(1 << 62)
 
 
 class BatchProgram:
@@ -99,10 +107,8 @@ class BatchProgram:
             every probed port.
         tap_keys: ``(element, port)`` per recording index.
         state_init: uint8 initial value per unified-state row.
-        n_mergers: row count of the merger (last-accept, collisions)
-            arrays.
-        n_balancers: row count of the balancer Mealy-state arrays
-            (toggle state, last arrival, pair-open flag, hazard count).
+        n_timers: timed table cells (rows of the last-emit timer array).
+        n_counters: timed cells with a counter (rows of the count array).
         fault_specs: ``("drop"|"jitter", element)`` per fault index.
         state_map: ``id(element) -> ((attr, kind, index), ...)`` mapping
             scalar state attributes onto the batch arrays (for the
@@ -115,8 +121,8 @@ class BatchProgram:
         "tap_index",
         "tap_keys",
         "state_init",
-        "n_mergers",
-        "n_balancers",
+        "n_timers",
+        "n_counters",
         "fault_specs",
         "state_map",
     )
@@ -125,34 +131,32 @@ class BatchProgram:
 def _classify(element: Element) -> str:
     """Opcode family for ``element``, by handle-function identity.
 
-    Mirrors the scalar sealed compiler: subclasses inheriting a standard
-    ``handle`` (every :class:`TableCell`, ``IdealMerger``) vectorize.  A
-    cell that overrides ``handle`` or ``emit`` has no batch opcode and is
-    refused with :class:`ConfigurationError`.
+    Mirrors the scalar sealed compiler: every cell running the
+    :class:`TableCell` interpreter vectorizes, and so do the two fault
+    channels.  A cell that overrides ``handle`` or ``emit`` has no batch
+    opcode and is refused with :class:`ConfigurationError`.
     """
-    from repro.cells.interconnect import Merger
-    from repro.core.balancer import Balancer
     from repro.pulsesim.faults import DropChannel, JitterChannel
 
     table = {
         TableCell.handle: "table",
-        Merger.handle: "merger",
         DropChannel.handle: "drop",
         JitterChannel.handle: "jitter",
-        Balancer.handle: "balancer",
     }
     kind = table.get(type(element).handle)
     if kind is None or type(element).emit is not Element.emit:
         raise ConfigurationError(
             f"cell {element.name!r} ({type(element).__name__}) has no batch "
-            "opcode: the batch kernel runs table, merger, balancer, drop and "
-            "jitter cells only; run this circuit on the scalar kernels"
+            "opcode: the batch kernel runs table, drop and jitter cells "
+            "only; run this circuit on the scalar kernels"
         )
     return kind
 
 
-def _table_op(element: TableCell, port: str, s: int, emission) -> list:
-    """Masked op for one table-cell port (state row ``s``)."""
+def _table_op(element: TableCell, port: str, s: int, timer: int,
+              counter: int, emission) -> list:
+    """Masked op for one table-cell port (state row ``s``; ``timer`` and
+    ``counter`` rows for a timed cell)."""
     shape = element._shapes[port]
     kind = shape[0]
     if kind == "fanout":
@@ -168,12 +172,36 @@ def _table_op(element: TableCell, port: str, s: int, emission) -> list:
             _B_GUARD, s, fire, fire if fire_next is None else fire_next,
             other_next, *emission(element, output),
         ]
+    rows = element.TRANSITIONS[port]
+    if kind == "window":
+        _kind, output, counted = shape
+        return [
+            _B_WINDOW, timer, counter if counted else -1,
+            getattr(element, element.GUARDS[0]), *emission(element, output),
+        ]
+    if kind == "timed":
+        # Rows are gathered by per-lane code; emissions go by output group.
+        groups = list(dict.fromkeys(row[1] for row in rows if row[1]))
+        n_states = element._n_states
+        return [
+            _B_TIMED, s, timer, counter,
+            tuple(
+                (getattr(element, bound), n_states << bit)
+                for bit, bound in enumerate(element.GUARDS)
+            ),
+            np.array([row[0] for row in rows], dtype=np.uint8),
+            np.array([groups.index(row[1]) + 1 if row[1] else 0
+                      for row in rows], dtype=np.int8),
+            np.array([len(row) > 2 for row in rows]),
+            tuple(tuple(emission(element, out) for out in outputs)
+                  for outputs in groups),
+        ]
     return [
         _B_TABLE,
         s,
         tuple(
             (nxt, tuple(emission(element, out) for out in outputs))
-            for nxt, outputs in element.TRANSITIONS[port]
+            for nxt, outputs in rows
         ),
     ]
 
@@ -224,50 +252,33 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
     state_init: List[int] = []
     state_map: Dict[int, tuple] = {}
     fault_specs: List[Tuple[str, Element]] = []
-    n_mergers = 0
-    n_balancers = 0
+    n_timers = 0
+    n_counters = 0
     inports: Dict[Tuple[int, str], tuple] = {}
 
     for element in circuit.elements:
         eid = id(element)
         kind = _classify(element)
         if kind == "table":
-            s = -1  # a one-state table keeps no state row
-            if len(next(iter(element.TRANSITIONS.values()))) > 1:
+            slots = []
+            s = timer = counter = -1  # -1: the cell keeps no such row
+            if element._n_states > 1:
                 s = len(state_init)
                 state_init.append(element.INITIAL)
-                state_map[eid] = (("state", "u8", s),)
+                slots.append(("state", "u8", s))
+            if element.GUARDS:
+                timer = n_timers
+                n_timers += 1
+                slots.append(("_last_emit", "timer", timer))
+                if element.COUNTER:
+                    counter = n_counters
+                    n_counters += 1
+                    slots.append((element.COUNTER, "count", counter))
+            if slots:
+                state_map[eid] = tuple(slots)
             for port in element.input_names:
-                op_of(element, port)[:] = _table_op(element, port, s, emission)
-        elif kind == "merger":
-            m = n_mergers
-            n_mergers += 1
-            body = [_B_MERGER, m, element.dead_time, *emission(element, "q")]
-            for port in element.input_names:
-                op_of(element, port)[:] = body
-            state_map[eid] = (
-                ("collisions", "mcoll", m),
-                ("_last_accept", "mlast", m),
-            )
-        elif kind == "balancer":
-            b = n_balancers
-            n_balancers += 1
-            em1 = emission(element, "y1")
-            em2 = emission(element, "y2")
-            for bit, port in enumerate(("a", "b")):
-                op_of(element, port)[:] = [
-                    _B_BAL,
-                    b,
-                    bit,
-                    element.t_bff_fs,
-                    element.coincidence_fs,
-                    em1,
-                    em2,
-                ]
-            state_map[eid] = (
-                ("state", "bstate", b),
-                ("hazard_events", "bhaz", b),
-            )
+                op_of(element, port)[:] = _table_op(
+                    element, port, s, timer, counter, emission)
         else:  # "drop" or "jitter"
             f = len(fault_specs)
             fault_specs.append((kind, element))
@@ -299,8 +310,8 @@ def compile_batch(circuit: Circuit) -> BatchProgram:
     prog.tap_index = tap_index
     prog.tap_keys = tap_keys
     prog.state_init = np.asarray(state_init, dtype=np.uint8)
-    prog.n_mergers = n_mergers
-    prog.n_balancers = n_balancers
+    prog.n_timers = n_timers
+    prog.n_counters = n_counters
     prog.fault_specs = fault_specs
     prog.state_map = state_map
     return prog
@@ -447,15 +458,9 @@ class BatchSimulator:
         self._state = np.repeat(prog.state_init[:, None], B, axis=1)
         if n_state == 0:
             self._state = self._state.reshape(0, B)
-        self._mlast = np.full((prog.n_mergers, B), -1, dtype=np.int64)
-        self._mcoll = np.zeros((prog.n_mergers, B), dtype=np.int64)
-        nb = prog.n_balancers
-        self._bal_state = np.zeros((nb, B), dtype=np.uint8)
-        self._bal_last_t = np.full((nb, B), -1, dtype=np.int64)
-        self._bal_last_port = np.zeros((nb, B), dtype=np.uint8)
-        self._bal_last_idx = np.zeros((nb, B), dtype=np.uint8)
-        self._bal_pair = np.zeros((nb, B), dtype=bool)
-        self._bal_haz = np.zeros((nb, B), dtype=np.int64)
+        # Last-emit times; "never" is far enough back that no guard holds.
+        self._timers = np.full((prog.n_timers, B), _NEVER, dtype=np.int64)
+        self._counts = np.zeros((prog.n_counters, B), dtype=np.int64)
         self._events = np.zeros(B, dtype=np.int64)
         self._pulses = np.zeros(B, dtype=np.int64)
         self._end = np.zeros(B, dtype=np.int64)
@@ -649,6 +654,7 @@ class BatchSimulator:
 
         heap = self._heap
         state = self._state
+        timers = self._timers
         now = self._now
         try:
             while heap:
@@ -676,14 +682,13 @@ class BatchSimulator:
                 elif kind == _B_MULTI:
                     for dq, taps, rows in op[1]:
                         self._emit(t, dq, taps, rows, mask)
-                elif kind == _B_MERGER:
-                    _c, m, dead, dq, taps, rows = op
-                    last = self._mlast[m]
-                    ok = (last < 0) | (t - last >= dead)
-                    reject = mask & ~ok
-                    if reject.any():
-                        self._mcoll[m][reject] += 1
-                    accept = mask & ok
+                elif kind == _B_WINDOW:
+                    _c, ti, ci, bound, dq, taps, rows = op
+                    last = timers[ti]
+                    inside = mask & (t - last < bound)
+                    if ci >= 0 and inside.any():
+                        self._counts[ci] += inside
+                    accept = mask ^ inside
                     if accept.any():
                         last[accept] = t
                         self._emit(t, dq, taps, rows, accept)
@@ -711,40 +716,28 @@ class BatchSimulator:
                                 st[sub] = nxt
                             for dq, taps, rows in emissions:
                                 self._emit(t, dq, taps, rows, sub)
-                elif kind == _B_BAL:
-                    # Vectorized balancer Mealy machine (repro.core.
-                    # balancer._MealyRouter.route, lane-parallel).  The
-                    # lane-restricted event order equals the scalar order
-                    # (kernel invariant), so sequential per-lane routing
-                    # decisions map 1:1 onto these masked updates.
-                    _c, b, pbit, t_bff, coinc, em1, em2 = op
-                    lt = self._bal_last_t[b]
-                    has = mask & (lt >= 0)
-                    gap = t - lt
-                    pair_hit = (
-                        has
-                        & (gap <= coinc)
-                        & (self._bal_last_port[b] != pbit)
-                        & self._bal_pair[b]
-                    )
-                    hazard = has & ~pair_hit & (gap < t_bff)
-                    st = self._bal_state[b]
-                    idx = np.where(hazard, self._bal_last_idx[b], st)
-                    if hazard.any():
-                        self._bal_haz[b] += hazard
-                    toggle = mask & ~hazard
-                    st[toggle] ^= 1
-                    normal = mask & ~pair_hit & ~hazard
-                    self._bal_pair[b][mask] = normal[mask]
-                    lt[mask] = t
-                    self._bal_last_port[b][mask] = pbit
-                    self._bal_last_idx[b][mask] = idx[mask]
-                    m1 = mask & (idx == 0)
-                    m2 = mask & (idx == 1)
-                    if m1.any():
-                        self._emit(t, em1[0], em1[1], em1[2], m1)
-                    if m2.any():
-                        self._emit(t, em2[0], em2[1], em2[2], m2)
+                elif kind == _B_TIMED:
+                    # Each lane's row code is its guard bits and state,
+                    # read before any lane moves on.
+                    _c, si, ti, ci, guards, nxt, group, counted, groups = op
+                    last = timers[ti]
+                    gap = t - last
+                    code = state[si] if si >= 0 else 0
+                    for bound, offset in guards:
+                        code = code + offset * (gap < bound)
+                    if si >= 0:
+                        np.copyto(state[si], nxt[code], where=mask)
+                    if ci >= 0:
+                        bump = mask & counted[code]
+                        if bump.any():
+                            self._counts[ci] += bump
+                    out = group[code]
+                    last[mask & (out > 0)] = t
+                    for g, emissions in enumerate(groups, 1):
+                        sub = mask & (out == g)
+                        if sub.any():
+                            for dq, taps, rows in emissions:
+                                self._emit(t, dq, taps, rows, sub)
                 elif kind == _B_DROP:
                     _c, f, taps, rows = op
                     fa = self._faults[f]
@@ -830,18 +823,14 @@ class BatchSimulator:
                 continue
             if kind == "u8":
                 return int(self._state[idx, lane])
-            if kind == "mlast":
-                value = int(self._mlast[idx, lane])
-                return None if value < 0 else value
-            if kind == "mcoll":
-                return int(self._mcoll[idx, lane])
+            if kind == "timer":
+                value = int(self._timers[idx, lane])
+                return None if value == _NEVER else value
+            if kind == "count":
+                return int(self._counts[idx, lane])
             if kind == "fault":
                 f, field = idx
                 return int(getattr(self._faults[f], field)[lane])
-            if kind == "bstate":
-                return int(self._bal_state[idx, lane])
-            if kind == "bhaz":
-                return int(self._bal_haz[idx, lane])
         return getattr(element, attr, default)
 
     @property

@@ -15,7 +15,9 @@ physical:
   Race-Logic pulse landing exactly on a stream slot blocks that slot, the
   convention the paper's multiplier waveforms use), and
 * cells that care about coincidence windows (merger dead time, the
-  balancer's t_BFF transition) compare timestamps themselves.
+  balancer's coincidence and t_BFF windows) are timed table cells
+  (:class:`TableCell`): gap bounds on the time since the cell's last
+  emitting pulse pick the transition row.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.errors import NetlistError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    import weakref
+
+    from repro.pulsesim.netlist import Circuit
     from repro.pulsesim.simulator import Simulator
 
 
@@ -98,7 +103,8 @@ class Element:
 
     def __init__(self, name: str):
         self.name = name
-        self.circuit = None  # set by Circuit.add
+        #: Weak reference to the owning circuit, set by Circuit.add.
+        self._circuit: Optional[weakref.ReferenceType[Circuit]] = None
         self._input_specs: Dict[str, PortSpec] = {
             spec.name: spec for spec in map(self._as_spec, type(self).INPUTS)
         }
@@ -111,6 +117,14 @@ class Element:
         if isinstance(port, PortSpec):
             return port
         return PortSpec(str(port))
+
+    @property
+    def circuit(self) -> Optional["Circuit"]:
+        """The :class:`~repro.pulsesim.netlist.Circuit` this cell was added
+        to, or None.  Held weakly, so a circuit and its cells form no
+        reference cycle and are freed as soon as the circuit is dropped."""
+        ref = self._circuit
+        return None if ref is None else ref()
 
     @property
     def input_names(self) -> Tuple[str, ...]:
@@ -187,8 +201,9 @@ class Element:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-#: One transition-table row: ``(next_state, output ports pulsed)``.
-Row = Tuple[int, Tuple[str, ...]]
+#: One transition-table row: ``(next_state, output ports pulsed)``, or
+#: ``(next_state, outputs, 1)`` for a row that also bumps the cell's counter.
+Row = Tuple
 
 
 class TableCell(Element):
@@ -202,6 +217,15 @@ class TableCell(Element):
     (and :meth:`reset` returns it) in state ``INITIAL``.  ``DEFAULT_DELAY``
     is the constructor's default ``delay``.
 
+    A *timed* cell names up to two instance attributes in ``GUARDS``, each
+    a gap bound in femtoseconds.  Guard ``i`` holds when the time since
+    the cell's last emitting pulse (``_last_emit``; no guard holds before
+    the first) is below its bound, and sets bit ``i`` of the guard bits;
+    a pulse then takes row ``bits * n_states + state``, so each port lists
+    its ``n_states`` rows once per guard-bit combination.  Every emitting
+    pulse restamps ``_last_emit``, and a counted row adds one to the
+    attribute named by ``COUNTER``.
+
     :meth:`handle` interprets the table, which makes it the reference
     semantics; the sealed and batch compilers read the same table and run
     the cell inline, so each cell's behaviour is written exactly once.
@@ -210,8 +234,16 @@ class TableCell(Element):
     TRANSITIONS: Dict[str, Tuple[Row, ...]] = {}
     INITIAL = 0
     DEFAULT_DELAY = 0
-    #: ``port -> table_shape(rows)``, computed once at class definition
-    #: (the compilers look it up for every cell of every compile).
+    #: Instance attributes holding the gap bounds (fs) of a timed cell.
+    GUARDS: Tuple[str, ...] = ()
+    #: Instance attribute counted by the rows that bump it.
+    COUNTER = ""
+    #: Time of the last emitting pulse of a timed cell (None: none yet).
+    _last_emit: Optional[int] = None
+    #: States per guard-bit combination.
+    _n_states = 1
+    #: ``port -> table_shape(rows, guards)``, computed once at class
+    #: definition (the compilers look it up for every cell of every compile).
     _shapes: Dict[str, tuple] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -221,40 +253,66 @@ class TableCell(Element):
             return
         inputs = {cls._as_spec(port).name for port in cls.INPUTS}
         outputs = {cls._as_spec(port).name for port in cls.OUTPUTS}
-        states = {len(rows) for rows in table.values()}
+        sizes = {len(rows) for rows in table.values()}
+        guards = len(cls.GUARDS)
+        n_states = min(sizes, default=0) >> guards
+        counted = ((), (1,)) if guards and cls.COUNTER else ((),)
         valid = (
             set(table) == inputs
-            and len(states) == 1
-            and 0 <= cls.INITIAL < min(states)
+            and len(sizes) == 1
+            and guards <= 2
+            and n_states << guards == min(sizes)
+            and 0 <= cls.INITIAL < n_states
             and all(
-                0 <= nxt < len(rows) and set(outs) <= outputs
+                0 <= row[0] < n_states and set(row[1]) <= outputs
+                and tuple(row[2:]) in counted
                 for rows in table.values()
-                for nxt, outs in rows
+                for row in rows
             )
         )
         if not valid:
             raise NetlistError(
                 f"{cls.__name__}.TRANSITIONS must give every input port one "
-                "(next_state, outputs) row per state, with next states in "
-                "range and outputs among OUTPUTS"
+                "(next_state, outputs) row per state and guard-bit "
+                "combination, with next states in range, outputs among "
+                "OUTPUTS, and counted rows only in a timed cell with a COUNTER"
             )
-        cls._shapes = {port: table_shape(rows) for port, rows in table.items()}
+        cls._n_states = n_states
+        cls._shapes = {
+            port: table_shape(rows, guards) for port, rows in table.items()
+        }
 
     def __init__(self, name: str, delay: Optional[int] = None):
         super().__init__(name)
         self.delay = type(self).DEFAULT_DELAY if delay is None else delay
-        self.state = self.INITIAL
+        self.reset()
 
     def handle(self, sim: "Simulator", port: str, time: int) -> None:
-        self.state, outputs = self.TRANSITIONS[port][self.state]
-        for output in outputs:
+        code = self.state
+        guards = self.GUARDS
+        if guards and self._last_emit is not None:
+            gap = time - self._last_emit
+            for bit, bound in enumerate(guards):
+                if gap < getattr(self, bound):
+                    code += self._n_states << bit
+        row = self.TRANSITIONS[port][code]
+        self.state = row[0]
+        if len(row) > 2:
+            setattr(self, self.COUNTER, getattr(self, self.COUNTER) + 1)
+        if row[1] and guards:
+            self._last_emit = time
+        for output in row[1]:
             self.emit(sim, output, time + self.delay)
 
     def reset(self) -> None:
         self.state = self.INITIAL
+        if self.GUARDS:
+            self._last_emit = None
+        if self.COUNTER:
+            setattr(self, self.COUNTER, 0)
 
 
-def table_shape(rows: Tuple[Row, ...]) -> tuple:
+def table_shape(rows: Tuple[Row, ...], guards: int = 0) -> tuple:
     """Classify one port's rows into the shape the fast kernels compile.
 
     * ``("fanout", outputs)``: one state; every pulse emits ``outputs``.
@@ -265,7 +323,16 @@ def table_shape(rows: Tuple[Row, ...]) -> tuple:
       means the state is left unchanged.
     * ``("table",)``: anything else (state-dependent outputs or next
       states).
+    * ``("window", output, counted)``: one state and one guard (a merger's
+      dead time); outside the guard a pulse emits on ``output``, inside it
+      none does and, when ``counted``, each is counted.
+    * ``("timed",)``: any other table with guards.
     """
+    if guards:
+        if (guards == 1 and len(rows) == 2 and len(rows[0]) == 2
+                and len(rows[0][1]) == 1 and not rows[1][1]):
+            return ("window", rows[0][1][0], len(rows[1]) > 2)
+        return ("timed",)
     if len(rows) == 1:
         return ("fanout", rows[0][1])
     emitting = [state for state, (_next, outputs) in enumerate(rows) if outputs]

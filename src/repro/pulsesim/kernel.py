@@ -18,16 +18,20 @@ once per netlist:
   costs nothing there), and direct references to each sink's own program.
   Every :class:`~repro.pulsesim.element.TableCell` (the finite-state
   cells: JTL, splitter, NDRO, DFF/DFF2, TFF/TFF2, inverter, FA/LA, BFF,
-  mux/demux, clocked gates, inhibit) and the merger run inline, without
-  a single Python method call.  A table port compiles by the shape of
-  its rows: one state with one output -> the ``DELAY*`` programs, one
-  state otherwise -> ``MULTI``; no output and one common next state ->
-  ``STORE``; one output from exactly one state -> ``GUARD``; anything
-  else -> the general ``TABLE`` opcode.  Matching the shape keeps the
-  common cells as cheap as hand-written opcodes.  Anything else —
-  custom ``handle`` overrides, timed cells, fault-injection channels —
-  compiles to a generic *call* opcode that invokes the cell's
-  ``handle`` exactly like the reference loop.
+  mux/demux, clocked gates, inhibit, and the timed mergers, balancer
+  and BFF routing unit) runs inline, without a single Python method
+  call.  A table port compiles by the shape of its rows: one state with
+  one output -> the ``DELAY*`` programs, one state otherwise ->
+  ``MULTI``; no output and one common next state -> ``STORE``; one
+  output from exactly one state -> ``GUARD``; anything else -> the
+  general ``TABLE`` opcode.  A timed port (rows picked by guard bits
+  and state) compiles to ``WINDOW`` when it has one state and one guard
+  inside which pulses are absorbed (the merger), else to ``TIMED``.
+  Matching the shape keeps the common cells as cheap as hand-written
+  opcodes.  Anything else — custom ``handle`` overrides (the NoC link,
+  the integrator, the RL storage cells, the burst PNM), fault-injection
+  channels — compiles to a generic *call* opcode that invokes the
+  cell's ``handle`` exactly like the reference loop.
 
   Programs are mutable lists patched *in place* on recompile (e.g. when a
   probe is attached after events were scheduled), so queued events can
@@ -55,9 +59,9 @@ once per netlist:
   ``schedule_train`` resolves the port's program and packed priority once
   and batch-inserts the whole stimulus train.
 
-Because compilation snapshots cell timing (``delay``, ``dead_time``) and
-port priorities, those must not be mutated after a circuit is compiled;
-in this codebase they are constructor-set constants.
+Because compilation snapshots cell timing (``delay`` and guard bounds such
+as ``dead_time``) and port priorities, those must not be mutated after a
+circuit is compiled; in this codebase they are constructor-set constants.
 
 The sealed kernel is *semantically identical* to the reference loop: the
 same ``(time, priority, sequence)`` total order, the same stats, and
@@ -109,17 +113,18 @@ _INF = float("inf")
 
 # Opcode kinds, numbered in the run loop's compare order: the opcodes
 # hottest on the shipped workloads (JTL delays, NDRO/inverter clocks,
-# balancer calls, mergers) are tested first.  Table-cell ports pick theirs
-# by row shape (see the module docstring and ``element.table_shape``).
+# balancers, mergers) are tested first.  Table-cell ports pick theirs by
+# row shape (see the module docstring and ``element.table_shape``).
 _OP_DELAY1 = 0  # [0, kb, dly, nop]                   1 output, 1 wire, unprobed
 _OP_GUARD = 1  # [1, cell, fire, fire_next, other_next, dq, taps, rows]
-_OP_CALL = 2  # [2, handle, port]                    generic cell
-_OP_MERGER = 3  # [3, cell, dead, dq, taps, rows]     merger (dead time)
+_OP_TIMED = 2  # [2, cell, ((bound, offset), ...), rows, counter]  timed table
+_OP_WINDOW = 3  # [3, cell, bound, counter, dq, taps, rows]  one state, 1 guard
 _OP_MULTI = 4  # [4, emissions]                      one state, 0 or 2+ outputs
 _OP_STORE = 5  # [5, cell, state]                    no output, state <- constant
 _OP_DELAYN = 6  # [6, dq, taps, rows]                 1 output, 0 or 2+ wires
 _OP_DELAY1T = 7  # [7, dq, taps, kb, dly, nop]         1 output, 1 wire, probed
 _OP_TABLE = 8  # [8, cell, ((next_state, emissions), ...)]  per-state rows
+_OP_CALL = 9  # [9, handle, port]                    generic cell
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
@@ -246,42 +251,26 @@ def _compile_table(cell, port, circuit):
             _OP_GUARD, cell, fire, fire_next, other_next,
             *_emission(circuit, cell, output),
         ]
-    return [
-        _OP_TABLE,
-        cell,
-        tuple(
-            (nxt, tuple(_emission(circuit, cell, out) for out in outputs))
-            for nxt, outputs in cell.TRANSITIONS[port]
-        ),
-    ]
-
-
-def _compile_merger(cell, port, circuit):
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_MERGER, cell, cell.dead_time, dq, taps, rows]
-
-
-_inline_compilers = None
-
-
-def _inline_registry() -> dict:
-    """``handle function -> opcode compiler`` for the inline cells.
-
-    Keyed by the *function* implementing ``handle`` so every
-    :class:`~repro.pulsesim.element.TableCell` and every merger subclass
-    (e.g. ``IdealMerger``) is covered automatically, while subclasses
-    that override ``handle`` fall back to the generic call opcode.
-    Built lazily to keep the kernel importable before the cell library.
-    """
-    global _inline_compilers
-    if _inline_compilers is None:
-        from repro.cells.interconnect import Merger
-
-        _inline_compilers = {
-            TableCell.handle: _compile_table,
-            Merger.handle: _compile_merger,
-        }
-    return _inline_compilers
+    if kind == "window":
+        _kind, output, counted = shape
+        return [
+            _OP_WINDOW, cell, getattr(cell, cell.GUARDS[0]),
+            cell.COUNTER if counted else None,
+            *_emission(circuit, cell, output),
+        ]
+    rows = tuple(
+        (row[0], tuple(_emission(circuit, cell, out) for out in row[1]),
+         len(row) > 2)
+        for row in cell.TRANSITIONS[port]
+    )
+    if kind == "timed":
+        n_states = cell._n_states
+        guards = tuple(
+            (getattr(cell, bound), n_states << bit)
+            for bit, bound in enumerate(cell.GUARDS)
+        )
+        return [_OP_TIMED, cell, guards, rows, cell.COUNTER]
+    return [_OP_TABLE, cell, tuple(row[:2] for row in rows)]
 
 
 def _make_emit(element: Element, table: Dict[str, tuple]):
@@ -337,7 +326,7 @@ def compile_circuit(circuit: Circuit) -> CompiledTables:
     by :meth:`Circuit.seal` and lazily by :class:`SealedSimulator` whenever
     the circuit's version is newer than the cached tables.
     """
-    registry = _inline_registry()
+    table_handle = TableCell.handle
     default_emit = Element.emit
     emit_tables = circuit._emit_tables
     ports: Dict[int, Dict[str, tuple]] = {}
@@ -355,15 +344,15 @@ def compile_circuit(circuit: Circuit) -> CompiledTables:
                 _rows_of(circuit, element, port, 0),
             )
         ports[eid] = etable
-        compiler = None
-        if type(element).emit is default_emit:
-            compiler = registry.get(type(element).handle)
-            if compiler is None:
-                # Generic cells get the closure; inline cells never call
-                # emit under the sealed loop, and cells with a custom emit
+        # A cell runs inline exactly when it runs the table interpreter
+        # (inline cells never call emit under the sealed loop).
+        default = type(element).emit is default_emit
+        inline = default and type(element).handle is table_handle
+        if not inline:
+            if default:
+                # Generic cells get the closure; cells with a custom emit
                 # keep it (routing through SealedSimulator.emit).
                 element.emit = _make_emit(element, etable)
-        if compiler is None:
             # A free-form handle may emit with zero latency at its own
             # timestamp, so contended buckets must stay heap-ordered.
             monotonic = False
@@ -375,8 +364,8 @@ def compile_circuit(circuit: Circuit) -> CompiledTables:
         table: Dict[str, tuple] = {}
         for port in element.input_names:
             op = _op_of(circuit, element, port)
-            if compiler is not None:
-                op[:] = compiler(element, port, circuit)
+            if inline:
+                op[:] = _compile_table(element, port, circuit)
             else:
                 op[:] = [_OP_CALL, element.handle, port]
             table[port] = (element.input_priority(port) * _SEQ_SPAN, op)
@@ -681,31 +670,57 @@ class SealedSimulator(Simulator):
                             nxt = op[4]
                             if nxt is not None:
                                 cell.state = nxt
-                    elif kind == 2:  # CALL: generic cell handle
-                        self.now = now
-                        self._sequence = seq
-                        self._pulses = pulses
-                        stats.events_processed = events
-                        stats.pulses_emitted = pulses
-                        try:
-                            op[1](self, op[2], t)
-                        finally:
-                            seq = self._sequence
-                            pulses = self._pulses
-                    elif kind == 3:  # MERGER
+                    elif kind == 2:  # TIMED: row by (guard bits, state)
                         cell = op[1]
-                        last = cell._last_accept
-                        if last is not None and t - last < op[2]:
-                            cell.collisions += 1
-                        else:
-                            cell._last_accept = t
+                        code = cell.state
+                        last = cell._last_emit
+                        if last is not None:
+                            gap = t - last
+                            for bound, offset in op[2]:
+                                if gap < bound:
+                                    code += offset
+                        nxt, emissions, counted = op[3][code]
+                        cell.state = nxt
+                        if counted:
+                            setattr(cell, op[4], getattr(cell, op[4]) + 1)
+                        if emissions:
+                            cell._last_emit = t
+                        for dq, taps, rows in emissions:
                             pulses += 1
-                            taps = op[4]
                             if taps:
-                                ot = t + op[3]
+                                ot = t + dq
                                 for record in taps:
                                     record(ot)
-                            for kb, dly, nop in op[5]:
+                            for kb, dly, nop in rows:
+                                arrival = t + dly
+                                k = kb + seq
+                                entry = (k, nop)
+                                seq += 1
+                                b = bget(arrival)
+                                if b is None:
+                                    buckets[arrival] = entry
+                                    push(times, arrival)
+                                elif type(b) is list:
+                                    bpush(b, entry)
+                                elif b[0] < k:
+                                    buckets[arrival] = [b, entry]
+                                else:
+                                    buckets[arrival] = [entry, b]
+                    elif kind == 3:  # WINDOW: absorbed inside the guard
+                        cell = op[1]
+                        last = cell._last_emit
+                        if last is not None and t - last < op[2]:
+                            if op[3] is not None:
+                                setattr(cell, op[3], getattr(cell, op[3]) + 1)
+                        else:
+                            cell._last_emit = t
+                            pulses += 1
+                            taps = op[5]
+                            if taps:
+                                ot = t + op[4]
+                                for record in taps:
+                                    record(ot)
+                            for kb, dly, nop in op[6]:
                                 arrival = t + dly
                                 k = kb + seq
                                 entry = (k, nop)
@@ -811,6 +826,17 @@ class SealedSimulator(Simulator):
                                     buckets[arrival] = [b, entry]
                                 else:
                                     buckets[arrival] = [entry, b]
+                    elif kind == 9:  # CALL: generic cell handle
+                        self.now = now
+                        self._sequence = seq
+                        self._pulses = pulses
+                        stats.events_processed = events
+                        stats.pulses_emitted = pulses
+                        try:
+                            op[1](self, op[2], t)
+                        finally:
+                            seq = self._sequence
+                            pulses = self._pulses
                     else:  # pragma: no cover - compiler invariant
                         raise SimulationError(
                             f"corrupt compiled program (kind {kind!r})"

@@ -16,6 +16,7 @@ simply triggers a recompile on the next run.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -98,7 +99,7 @@ class Circuit:
             )
         if element.circuit is not None:
             raise NetlistError(f"{element!r} already belongs to a circuit")
-        element.circuit = self
+        element._circuit = weakref.ref(self)
         self.elements.append(element)
         self._names[element.name] = element
         return element

@@ -27,10 +27,13 @@ from repro.verify import spec as specmod
 
 #: Internal cell state compared after runs (superset across the library;
 #: missing attributes read as None).  Every table cell keeps its whole
-#: state in ``state``.  Cell state is the sharpest oracle: parity,
-#: dead-time filtering, and store/readout races are all order-sensitive,
-#: so any divergence in the event total order shows up.
-STATE_ATTRS: Tuple[str, ...] = ("state", "collisions", "_last_accept")
+#: state in ``state``; a timed one adds its ``_last_emit`` timer and its
+#: counter (``collisions``, ``hazard_events``).  Cell state is the
+#: sharpest oracle: parity, dead-time filtering, and store/readout races
+#: are all order-sensitive, so any divergence in the event total order
+#: shows up.
+STATE_ATTRS: Tuple[str, ...] = ("state", "collisions", "hazard_events",
+                                "_last_emit")
 
 #: Cells for which equal-(time, priority) pulses on *different* input
 #: ports steer observably different outputs depending on engine-assigned
@@ -206,9 +209,9 @@ def oracle_time_shift(spec: NetlistSpec) -> OracleResult:
 
 
 def _shift_state(state: Dict[str, tuple], delta: int) -> Dict[str, tuple]:
-    """Displace absolute-time state (a merger's last-accept timestamp)
+    """Displace absolute-time state (a timed cell's last-emit timestamp)
     by ``delta``; everything else is time-translation invariant."""
-    index = STATE_ATTRS.index("_last_accept")
+    index = STATE_ATTRS.index("_last_emit")
     shifted = {}
     for name, values in state.items():
         values = list(values)

@@ -93,6 +93,7 @@ def test_merger_dead_time_window_slides():
     sim.run()
     assert probe.count() == 2
     assert cell.collisions == 1
+    assert cell._last_emit == 6_000  # the timer skips absorbed pulses
 
 
 def test_ideal_merger_never_collides():

@@ -1,5 +1,8 @@
 """Circuit construction rules and introspection."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cells.interconnect import Jtl, Merger, Splitter
@@ -47,6 +50,34 @@ def test_connect_rejects_foreign_elements():
     b = c2.add(Jtl("b"))
     with pytest.raises(NetlistError, match="does not belong"):
         c1.connect(a, "q", b, "a")
+
+
+def test_circuits_die_on_del_without_the_cycle_collector():
+    """Cells point back at their circuit only weakly: a compiled, linted,
+    analyzed and simulated synth program, and a DPU after sealed and
+    batch runs, are freed by reference counting alone."""
+    from pathlib import Path
+
+    from repro.core.dpu import DotProductUnit
+    from repro.encoding.epoch import EpochSpec
+    from repro.synth.api import analyze_program, compile_json, lint_program
+
+    spec = Path(__file__).parents[2] / "examples" / "specs" / "elementwise.json"
+    gc.disable()
+    try:
+        program = compile_json(spec.read_text())
+        lint_program(program)
+        analyze_program(program)
+        program.simulate()
+        dpu = DotProductUnit(EpochSpec(bits=5), 8, bipolar=True)
+        dpu.run_counts([1] * 8, [2] * 8)
+        dpu._run_counts_batch_kernel([[1] * 8] * 2, [[2] * 8] * 2)
+        circuits = [weakref.ref(program.circuit), weakref.ref(dpu.circuit)]
+        assert program.circuit.elements[0].circuit is program.circuit
+        del program, dpu
+        assert [ref() for ref in circuits] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_fanout_reaches_all_sinks():

@@ -24,6 +24,7 @@ from repro.cells.interconnect import IdealMerger, Jtl, Merger, Splitter
 from repro.cells.logic import FirstArrival, Inverter, LastArrival
 from repro.cells.storage import Dff, Dff2, Ndro
 from repro.cells.toggle import Tff, Tff2
+from repro.core.balancer import Balancer, BffRoutingUnit
 from repro.encoding.epoch import EpochSpec
 from repro.pulsesim import Circuit, Simulator
 from repro.synth.generator import random_spec, spec_rng
@@ -34,9 +35,10 @@ from repro.verify.oracles import STATE_ATTRS
 #: lane is re-run under the scalar kernel for comparison).
 BATCH_LANES = 4
 
-#: (factory, input ports, output ports).  Every cell here has an inline
-#: opcode in both the sealed and the batch kernel, so each drawn netlist
-#: runs on all three kernels.
+#: (factory, input ports, output ports).  Every cell here is a
+#: :class:`~repro.pulsesim.element.TableCell` (untimed, or timed: the
+#: mergers and the two routing cells), which both fast kernels run
+#: inline, so each drawn netlist runs on all three kernels.
 CELLS = [
     (Jtl, ("a",), ("q",)),
     (Splitter, ("a",), ("q1", "q2")),
@@ -50,6 +52,8 @@ CELLS = [
     (Inverter, ("a", "clk"), ("q",)),
     (LastArrival, ("reset", "a", "b"), ("q",)),
     (FirstArrival, ("reset", "a", "b"), ("q",)),
+    (Balancer, ("a", "b"), ("y1", "y2")),
+    (BffRoutingUnit, ("a", "b"), ("c1_a", "c2_a", "c1_b", "c2_b")),
 ]
 
 

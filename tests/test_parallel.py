@@ -112,3 +112,14 @@ def test_factory_failure_surfaces_as_worker_error():
     with ProcessActor(_broken_factory) as actor:
         with pytest.raises(WorkerError, match="factory cannot build"):
             actor.call("echo", 1)
+
+
+def test_factory_failure_survives_the_worker_exiting_first():
+    """The failed factory's worker has already exited when the first
+    command is sent: the traceback it left still wins over the closed
+    pipe."""
+    with ProcessActor(_broken_factory) as actor:
+        actor._process.join(timeout=10)
+        assert not actor._process.is_alive()
+        with pytest.raises(WorkerError, match="factory cannot build"):
+            actor.call("echo", 1)
