@@ -2,7 +2,7 @@
 
 from repro.runner import ResultCache, run_suite
 
-# Cheap, representative slice of the registry (two sweep-capable figures,
+# Cheap, representative slice of the registry (two model-only figures,
 # one simulator-backed experiment, one table).
 SUITE = ["table2", "fig02", "fig14", "fig18"]
 

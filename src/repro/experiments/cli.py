@@ -4,7 +4,6 @@ Usage::
 
     usfq-experiments                 # run everything
     usfq-experiments fig18 fig19    # run a subset
-    usfq-experiments --jobs 4       # fan out across worker processes
     usfq-experiments --list         # show available experiment ids
     python -m repro.experiments     # same as usfq-experiments
 
@@ -49,13 +48,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--output",
         metavar="DIR",
         help="also write one <experiment>.txt report per experiment to DIR",
-    )
-    parser.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N|auto",
-        help="worker processes for experiments and sweep points; "
-        "'auto' uses one per CPU (default: 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -109,7 +101,7 @@ def _experiments(args: argparse.Namespace) -> int:
     if args.measured_activity:
         ids = ["table3-measured" if eid == "table3" else eid for eid in ids]
     cache = None if args.no_cache else ResultCache(pathlib.Path(args.cache_dir))
-    suite = run_suite(ids, jobs=args.jobs, cache=cache)
+    suite = run_suite(ids, cache=cache)
 
     failures = 0
     for experiment_id in ids:

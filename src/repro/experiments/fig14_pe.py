@@ -5,15 +5,9 @@ resolution.  (b) Equalise throughput by replicating the 126-JJ unary PE
 and compare total area: the unary array saves 93-96 % below 12 bits,
 shrinking to tens of percent at 16 bits, and ~28 % against the 48 GHz
 bit-parallel design [37, 38] at 8 bits.
-
-The per-``bits`` sweep is exposed as picklable work units
-(:func:`sweep_points` / :func:`run_point` / :func:`assemble`) so the
-experiment runner can fan the sweep out across worker processes.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from repro.core.pe import PE_JJ
 from repro.experiments.report import ExperimentResult
@@ -23,34 +17,7 @@ from repro.units import to_ns
 BITS_SWEEP = (4, 6, 8, 10, 12, 14, 16)
 
 
-def sweep_points() -> List[int]:
-    """One work unit per resolution in the bit sweep."""
-    return list(BITS_SWEEP)
-
-
-def run_point(bits: int) -> dict:
-    """Evaluate one resolution: latency, iso-throughput array, savings."""
-    n_pes = latency.pes_for_equal_throughput(bits)
-    unary_area = area.pe_array_unary_jj(n_pes)
-    binary_area = area.pe_binary_jj(bits)
-    savings = (1.0 - unary_area / binary_area) * 100.0
-    return {
-        "bits": bits,
-        "savings": savings,
-        "row": (
-            bits,
-            to_ns(latency.pe_unary_latency_fs(bits)),
-            to_ns(latency.pe_binary_latency_fs(bits)),
-            n_pes,
-            unary_area,
-            round(binary_area),
-            round(savings, 1),
-        ),
-    }
-
-
-def assemble(partials: List[dict]) -> ExperimentResult:
-    """Combine per-``bits`` partials (in sweep order) into the figure."""
+def run() -> ExperimentResult:
     result = ExperimentResult(
         "fig14",
         "PE latency and iso-throughput area",
@@ -65,9 +32,22 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         ],
     )
     savings_by_bits = {}
-    for partial in partials:
-        savings_by_bits[partial["bits"]] = partial["savings"]
-        result.add_row(*partial["row"])
+    for bits in BITS_SWEEP:
+        # Latency, the iso-throughput unary array, and its area savings.
+        n_pes = latency.pes_for_equal_throughput(bits)
+        unary_area = area.pe_array_unary_jj(n_pes)
+        binary_area = area.pe_binary_jj(bits)
+        savings = (1.0 - unary_area / binary_area) * 100.0
+        savings_by_bits[bits] = savings
+        result.add_row(
+            bits,
+            to_ns(latency.pe_unary_latency_fs(bits)),
+            to_ns(latency.pe_binary_latency_fs(bits)),
+            n_pes,
+            unary_area,
+            round(binary_area),
+            round(savings, 1),
+        )
 
     result.add_claim(
         "single U-SFQ PE area", "126 JJs, bit-independent", f"{PE_JJ} JJs",
@@ -107,7 +87,3 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         "unary PE cycles at t_BFF = 12 ps; one MAC per 2^B cycles"
     )
     return result
-
-
-def run() -> ExperimentResult:
-    return assemble([run_point(point) for point in sweep_points()])

@@ -5,15 +5,9 @@ Unary DPU area is bit-independent and linear in the vector length L
 single fitted MAC whose area grows with bits.  Headline claims: unary wins
 for L < 64 at any resolution; at L = 128 the two are comparable (unary
 wins at high resolution); beyond 256 the binary MAC wins.
-
-The per-``L`` sweep is exposed as picklable work units
-(:func:`sweep_points` / :func:`run_point` / :func:`assemble`) so the
-experiment runner can fan the sweep out across worker processes.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from repro.experiments.report import ExperimentResult
 from repro.models import area
@@ -22,30 +16,19 @@ LENGTHS = (16, 32, 64, 128, 256)
 BITS_SWEEP = (6, 8, 10, 12, 14, 16)
 
 
-def sweep_points() -> List[int]:
-    """One work unit per vector length."""
-    return list(LENGTHS)
-
-
-def run_point(length: int) -> dict:
-    """Evaluate one vector length against every resolution."""
-    unary = area.dpu_unary_jj(length)
-    saves = [
-        "yes" if unary < area.dpu_binary_jj(bits) else "no"
-        for bits in BITS_SWEEP
-    ]
-    return {"length": length, "row": (f"unary L={length}", unary, *saves)}
-
-
-def assemble(partials: List[dict]) -> ExperimentResult:
-    """Combine per-``L`` partials (in sweep order) into the figure."""
+def run() -> ExperimentResult:
     result = ExperimentResult(
         "fig16",
         "DPU area: unary (per L) vs binary (per bits)",
         ["config", "JJs"] + [f"saves @{b}b" for b in BITS_SWEEP],
     )
-    for partial in partials:
-        result.add_row(*partial["row"])
+    for length in LENGTHS:
+        unary = area.dpu_unary_jj(length)
+        saves = [
+            "yes" if unary < area.dpu_binary_jj(bits) else "no"
+            for bits in BITS_SWEEP
+        ]
+        result.add_row(f"unary L={length}", unary, *saves)
     result.add_row(
         "binary MAC", "-",
         *[round(area.dpu_binary_jj(bits)) for bits in BITS_SWEEP],
@@ -79,7 +62,3 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         "unary DPU JJs = 46 L + 56 (L - 1): bit-independent (the Fig 16 flat lines)"
     )
     return result
-
-
-def run() -> ExperimentResult:
-    return assemble([run_point(point) for point in sweep_points()])

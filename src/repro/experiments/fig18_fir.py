@@ -5,15 +5,9 @@ tap count; the binary single-MAC FIR pays one fitted MAC per tap.
 Headline claims: latency/throughput advantage below 9 bits at 32 taps and
 below 12 bits at 256 taps; area savings from 9 bits at 32 taps and never
 at 256 taps; efficiency advantage below ~12 bits, growing with taps.
-
-The (taps, bits) sweep is exposed as picklable work units
-(:func:`sweep_points` / :func:`run_point` / :func:`assemble`) so the
-experiment runner can fan the sweep out across worker processes.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 from repro.experiments.report import ExperimentResult
 from repro.models import area, efficiency, latency
@@ -23,34 +17,7 @@ TAPS = (32, 256)
 BITS_SWEEP = (4, 6, 8, 10, 12, 14, 16)
 
 
-def sweep_points() -> List[Tuple[int, int]]:
-    """One work unit per (taps, bits) grid cell."""
-    return [(taps, bits) for taps in TAPS for bits in BITS_SWEEP]
-
-
-def run_point(point: Tuple[int, int]) -> dict:
-    """Evaluate one (taps, bits) cell of the comparison grid."""
-    taps, bits = point
-    u_lat = latency.fir_unary_latency_fs(bits)
-    b_lat = latency.fir_binary_latency_fs(taps, bits)
-    return {
-        "row": (
-            taps,
-            bits,
-            to_us(u_lat),
-            to_us(b_lat),
-            latency.throughput_gops(u_lat),
-            latency.throughput_gops(b_lat),
-            area.fir_unary_jj(taps, bits),
-            round(area.fir_binary_jj(taps, bits)),
-            efficiency.fir_unary_efficiency(taps, bits),
-            efficiency.fir_binary_efficiency(taps, bits),
-        )
-    }
-
-
-def assemble(partials: List[dict]) -> ExperimentResult:
-    """Combine per-cell partials (in sweep order) into the figure."""
+def run() -> ExperimentResult:
     result = ExperimentResult(
         "fig18",
         "FIR: latency, throughput, area, efficiency (unary vs WP binary)",
@@ -67,8 +34,22 @@ def assemble(partials: List[dict]) -> ExperimentResult:
             "B eff (kOPs/JJ)",
         ],
     )
-    for partial in partials:
-        result.add_row(*partial["row"])
+    for taps in TAPS:
+        for bits in BITS_SWEEP:
+            u_lat = latency.fir_unary_latency_fs(bits)
+            b_lat = latency.fir_binary_latency_fs(taps, bits)
+            result.add_row(
+                taps,
+                bits,
+                to_us(u_lat),
+                to_us(b_lat),
+                latency.throughput_gops(u_lat),
+                latency.throughput_gops(b_lat),
+                area.fir_unary_jj(taps, bits),
+                round(area.fir_binary_jj(taps, bits)),
+                efficiency.fir_unary_efficiency(taps, bits),
+                efficiency.fir_binary_efficiency(taps, bits),
+            )
 
     def latency_crossover(taps: int):
         for bits in range(4, 17):
@@ -149,7 +130,3 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         "binary latency = taps * (fitted multiplier + adder)"
     )
     return result
-
-
-def run() -> ExperimentResult:
-    return assemble([run_point(point) for point in sweep_points()])

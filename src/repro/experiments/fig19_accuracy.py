@@ -5,24 +5,17 @@ workload, quantisation SNRs, SNR-versus-error-rate sweeps for the binary
 (bit-flip) and unary (pulse-loss, RL-loss, RL-delay) filters, the binary
 SNR distribution at 1 % errors, and the error-rate effect on the unary
 filter's recovered spectrum.
-
-This is the heaviest experiment in the registry, and it decomposes into
-independent error-injection studies, so the sweep is exposed as picklable
-work units (:func:`sweep_points` / :func:`run_point` / :func:`assemble`)
-that the experiment runner fans out across worker processes.  Every study
-is seeded, so the assembled figure is bit-identical however the points are
-scheduled.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
+from repro.core.fir import UnaryFirFilter
 from repro.dsp import errorinjection as ei
 from repro.dsp.golden import make_golden_reference
-from repro.dsp.snr import tone_power_db
+from repro.dsp.snr import snr_db, tone_power_db
+from repro.encoding.epoch import EpochSpec
 from repro.experiments.report import ExperimentResult
 
 ERROR_RATES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.3)
@@ -35,169 +28,55 @@ STRUCTURAL_BITS = 8
 STRUCTURAL_LANES = 256
 STRUCTURAL_SEED = 97
 
-# One point per independent error-injection study; the int is the trial
-# count for the SNR sweeps (unused by the other kinds).
-Point = Tuple[str, str, int]
 
-
-def sweep_points(trials: int = 5) -> List[Point]:
-    """The independent studies behind Fig 19, heaviest first."""
-    return [
-        ("sweep", "binary", trials),
-        ("sweep", "pulse_loss", trials),
-        ("sweep", "rl_delay", trials),
-        ("sweep", "rl_loss", trials),
-        ("distribution", "", 0),
-        ("spectra", "", 0),
-        ("quant", "6", 0),
-        ("quant", "16", 0),
-    ] + [("structural", str(rate), 0) for rate in ERROR_RATES]
-
-
-_STRUCTURAL_CACHE: dict = {}
-
-
-def _structural_counts() -> np.ndarray:
-    """Retained-pulse counts of the coalesced structural study.
+def _structural_retained() -> np.ndarray:
+    """Retained fraction of the stream, one row of lanes per error rate.
 
     One :class:`~repro.pulsesim.BatchSimulator` run carries every
     ``(error rate, Monte-Carlo lane)`` combination: lane ``i`` of rate
     ``r`` gets its own seeded drop stream via ``set_drop_rates``, and a
-    full-scale uniform pulse stream is broadcast to all lanes.  Per-lane
-    RNG streams depend only on ``(seed, lane)``, so the per-rate slices
-    are identical however the sweep points are scheduled.  The result is
-    memoized per process and ``run_point`` slices it per rate.
+    full-scale uniform pulse stream is broadcast to all lanes.
     """
-    counts = _STRUCTURAL_CACHE.get("counts")
-    if counts is None:
-        from repro.cells.interconnect import Jtl
-        from repro.pulsesim import BatchSimulator, Circuit, DropChannel
-        from repro.pulsesim.schedule import uniform_stream_times
+    from repro.cells.interconnect import Jtl
+    from repro.pulsesim import BatchSimulator, Circuit, DropChannel
+    from repro.pulsesim.schedule import uniform_stream_times
 
-        n_max = 1 << STRUCTURAL_BITS
-        circuit = Circuit("fig19-structural")
-        jtl = circuit.add(Jtl("j"))
-        channel = circuit.add(
-            DropChannel("loss", drop_rate=0.0, seed=STRUCTURAL_SEED)
-        )
-        circuit.connect(jtl, "q", channel, "a", delay=100)
-        circuit.probe(channel, "q")
-        sim = BatchSimulator(circuit, batch=len(ERROR_RATES) * STRUCTURAL_LANES)
-        sim.set_drop_rates(channel, np.repeat(ERROR_RATES, STRUCTURAL_LANES))
-        sim.schedule_train(jtl, "a", uniform_stream_times(n_max, n_max, 1_000))
-        sim.run()
-        counts = sim.port_counts(channel, "q").reshape(
-            len(ERROR_RATES), STRUCTURAL_LANES
-        )
-        _STRUCTURAL_CACHE["counts"] = counts
-    return counts
+    n_max = 1 << STRUCTURAL_BITS
+    circuit = Circuit("fig19-structural")
+    jtl = circuit.add(Jtl("j"))
+    channel = circuit.add(DropChannel("loss", drop_rate=0.0, seed=STRUCTURAL_SEED))
+    circuit.connect(jtl, "q", channel, "a", delay=100)
+    circuit.probe(channel, "q")
+    sim = BatchSimulator(circuit, batch=len(ERROR_RATES) * STRUCTURAL_LANES)
+    sim.set_drop_rates(channel, np.repeat(ERROR_RATES, STRUCTURAL_LANES))
+    sim.schedule_train(jtl, "a", uniform_stream_times(n_max, n_max, 1_000))
+    sim.run()
+    counts = sim.port_counts(channel, "q").reshape(
+        len(ERROR_RATES), STRUCTURAL_LANES
+    )
+    return counts / n_max
 
 
-def _structural_partial(rate_index: int) -> dict:
-    retained = _structural_counts()[rate_index] / (1 << STRUCTURAL_BITS)
-    return {
-        "kind": "structural",
-        "rate": ERROR_RATES[rate_index],
-        "lanes": STRUCTURAL_LANES,
-        "mean_retained": float(retained.mean()),
-        "min_retained": float(retained.min()),
-        "max_retained": float(retained.max()),
-    }
-
-
-def run_point(point: Point) -> dict:
-    """Run one study; returns plain floats/lists so results pickle cheaply."""
-    kind, arg, trials = point
+def run(trials: int = 5) -> ExperimentResult:
     golden = make_golden_reference()
-    if kind == "sweep":
-        if arg == "binary":
-            sweep = ei.sweep_binary_bit_flips(golden, BITS, ERROR_RATES, trials=trials)
-        else:
-            sweep = ei.sweep_unary_errors(golden, BITS, ERROR_RATES, arg, trials=trials)
-        return {
-            "kind": kind,
-            "mode": sweep.mode,
-            "rates": list(sweep.error_rates),
-            "mean": list(sweep.mean_db),
-            "min": list(sweep.min_db),
-            "max": list(sweep.max_db),
-        }
-    if kind == "quant":
-        # Quantisation-only SNRs ("for 16 bits, the calculated SNR is 24 dB
-        # and for 6 bits is 15 dB").
-        from repro.core.fir import UnaryFirFilter
-        from repro.dsp.snr import snr_db
-        from repro.encoding.epoch import EpochSpec
-
-        bits = int(arg)
-        fir = UnaryFirFilter(EpochSpec(bits), golden.h, exact_counting=False)
-        return {
-            "kind": kind,
-            "bits": bits,
-            "snr": float(snr_db(golden.target, fir.process(golden.x), skip=golden.skip)),
-        }
-    if kind == "distribution":
-        # Fig 19b: binary SNR distribution at 1 % errors.  A short record
-        # keeps the per-trial flip count low, so single flips dominate and
-        # the SNR spread reflects which bit each flip hits.
-        short_golden = make_golden_reference(n_samples=600)
-        distribution = ei.binary_snr_distribution(short_golden, BITS, 0.01, trials=60)
-        return {
-            "kind": kind,
-            "mean": float(np.mean(distribution)),
-            "std": float(np.std(distribution)),
-            "min": float(np.min(distribution)),
-            "max": float(np.max(distribution)),
-        }
-    if kind == "spectra":
-        # Fig 19c: unary output spectrum under error — the recovered 1 kHz
-        # tone versus the filtered-out interferers, clean and at 50 % loss.
-        spectra = ei.unary_spectra_under_error(golden, BITS, (0.0, 0.5))
-        tones = []
-        for tone in (1_000.0, 7_000.0, 8_000.0, 9_000.0):
-            clean_db = tone_power_db(
-                spectra[0.0][golden.skip:], golden.sample_rate_hz, tone
-            )
-            lossy_db = tone_power_db(
-                spectra[0.5][golden.skip:], golden.sample_rate_hz, tone
-            )
-            tones.append((tone, float(clean_db), float(lossy_db)))
-        return {"kind": kind, "tones": tones}
-    if kind == "structural":
-        return _structural_partial(ERROR_RATES.index(float(arg)))
-    raise ValueError(f"unknown fig19 sweep point {point!r}")
-
-
-def assemble(partials: List[dict]) -> ExperimentResult:
-    """Combine study partials (in :func:`sweep_points` order) into Fig 19."""
-    by_kind = {}
-    for partial in partials:
-        if partial["kind"] == "structural":
-            key = ("structural", partial["rate"])
-        else:
-            key = (partial["kind"], partial.get("mode") or partial.get("bits", ""))
-        by_kind[key] = partial
-    sweeps = [
-        by_kind[("sweep", "binary bit flips")],
-        by_kind[("sweep", "unary pulse_loss")],
-        by_kind[("sweep", "unary rl_delay")],
-        by_kind[("sweep", "unary rl_loss")],
-    ]
+    sweeps = [ei.sweep_binary_bit_flips(golden, BITS, ERROR_RATES, trials=trials)]
+    for mode in ("pulse_loss", "rl_delay", "rl_loss"):
+        sweeps.append(
+            ei.sweep_unary_errors(golden, BITS, ERROR_RATES, mode, trials=trials)
+        )
 
     result = ExperimentResult(
         "fig19",
         "FIR accuracy under errors (16 taps, 1/7/8/9 kHz workload)",
         ["error mode", "rate", "SNR mean (dB)", "SNR min (dB)", "SNR max (dB)"],
     )
-    golden = make_golden_reference()
-
     for sweep in sweeps:
-        for i, rate in enumerate(sweep["rates"]):
+        for i, rate in enumerate(sweep.error_rates):
             result.add_row(
-                sweep["mode"], rate,
-                round(sweep["mean"][i], 1),
-                round(sweep["min"][i], 1),
-                round(sweep["max"][i], 1),
+                sweep.mode, rate,
+                round(sweep.mean_db[i], 1),
+                round(sweep.min_db[i], 1),
+                round(sweep.max_db[i], 1),
             )
 
     result.add_claim(
@@ -206,8 +85,14 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         abs(golden.golden_snr_db - 25.7) < 1.0,
     )
 
-    quantised = {bits: by_kind[("quant", bits)]["snr"] for bits in (6, 16)}
+    # Quantisation-only SNRs ("for 16 bits, the calculated SNR is 24 dB
+    # and for 6 bits is 15 dB").
+    quantised = {}
     for bits in (6, 16):
+        fir = UnaryFirFilter(EpochSpec(bits), golden.h, exact_counting=False)
+        quantised[bits] = float(
+            snr_db(golden.target, fir.process(golden.x), skip=golden.skip)
+        )
         result.add_row(f"unary quantisation only ({bits} bits)", 0.0,
                        round(quantised[bits], 1), "-", "-")
     result.add_claim(
@@ -221,8 +106,8 @@ def assemble(partials: List[dict]) -> ExperimentResult:
     )
 
     binary, pulse_loss, rl_delay, rl_loss = sweeps
-    binary_drop = binary["mean"][0] - binary["mean"][-1]
-    unary_drop = pulse_loss["mean"][0] - pulse_loss["mean"][-1]
+    binary_drop = binary.mean_db[0] - binary.mean_db[-1]
+    unary_drop = pulse_loss.mean_db[0] - pulse_loss.mean_db[-1]
     result.add_claim(
         "binary SNR degradation at 30 % errors", "~30 dB",
         f"{binary_drop:.1f} dB", binary_drop > 15,
@@ -236,14 +121,14 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         f"{unary_drop:.1f} dB vs {binary_drop:.1f} dB",
         unary_drop < binary_drop / 3.0,
     )
-    rl_loss_drop = rl_loss["mean"][0] - rl_loss["mean"][1]
+    rl_loss_drop = rl_loss.mean_db[0] - rl_loss.mean_db[1]
     result.add_claim(
         "a lost RL pulse is the damaging error mode",
         "large effect (all information in one pulse)",
         f"{rl_loss_drop:.1f} dB drop at 1 %",
         rl_loss_drop > 5.0,
     )
-    delay_drop = rl_delay["mean"][0] - rl_delay["mean"][-1]
+    delay_drop = rl_delay.mean_db[0] - rl_delay.mean_db[-1]
     result.add_claim(
         "RL delay errors behave like pulse loss (small)",
         "similar to error (i)",
@@ -251,27 +136,43 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         delay_drop < 7.0,
     )
 
-    distribution = by_kind[("distribution", "")]
+    # Fig 19b: binary SNR distribution at 1 % errors.  A short record
+    # keeps the per-trial flip count low, so single flips dominate and
+    # the SNR spread reflects which bit each flip hits.
+    short_golden = make_golden_reference(n_samples=600)
+    distribution = ei.binary_snr_distribution(short_golden, BITS, 0.01, trials=60)
+    spread = float(np.std(distribution))
     result.notes.append(
         "binary SNR distribution at 1 % bit flips: "
-        f"mean {distribution['mean']:.1f} dB, std {distribution['std']:.1f} dB, "
-        f"range [{distribution['min']:.1f}, {distribution['max']:.1f}] dB "
+        f"mean {float(np.mean(distribution)):.1f} dB, std {spread:.1f} dB, "
+        f"range [{float(np.min(distribution)):.1f}, "
+        f"{float(np.max(distribution)):.1f}] dB "
         "(damage depends on which bit flips)"
     )
     result.add_claim(
         "binary error damage varies wildly with bit significance",
         "large SNR variance",
-        f"std {distribution['std']:.1f} dB",
-        distribution["std"] > 2.0,
+        f"std {spread:.1f} dB",
+        spread > 2.0,
     )
 
-    tones = by_kind[("spectra", "")]["tones"]
-    for tone, clean_db, lossy_db in tones:
+    # Fig 19c: unary output spectrum under error — the recovered 1 kHz
+    # tone versus the filtered-out interferers, clean and at 50 % loss.
+    spectra = ei.unary_spectra_under_error(golden, BITS, (0.0, 0.5))
+    tones = {}
+    for tone in (1_000.0, 7_000.0, 8_000.0, 9_000.0):
+        clean_db, lossy_db = (
+            float(tone_power_db(
+                spectra[rate][golden.skip:], golden.sample_rate_hz, tone
+            ))
+            for rate in (0.0, 0.5)
+        )
+        tones[tone] = (clean_db, lossy_db)
         result.add_row(
             f"spectrum @ {tone / 1000:.0f} kHz (dB re peak)", 0.5,
             round(clean_db, 1), round(lossy_db, 1), "-",
         )
-    tone_clean, tone_noisy = tones[0][1], tones[0][2]
+    tone_clean, tone_noisy = tones[1_000.0]
     result.add_claim(
         "the recovered tone survives 50 % pulse loss (Fig 19c)",
         "1 kHz peak intact, noise floor rises",
@@ -283,17 +184,16 @@ def assemble(partials: List[dict]) -> ExperimentResult:
     # functionally; here real pulse streams traverse a simulated
     # JTL -> DropChannel fabric (batch kernel, 256 lanes per rate) and the
     # retained fraction must track 1 - rate.
-    structural = [by_kind[("structural", rate)] for rate in ERROR_RATES]
-    for part in structural:
+    worst = 0.0
+    for rate, retained in zip(ERROR_RATES, _structural_retained()):
+        mean_retained = float(retained.mean())
         result.add_row(
-            f"structural pulse loss ({part['lanes']} lanes)", part["rate"],
-            round(part["mean_retained"], 3),
-            round(part["min_retained"], 3),
-            round(part["max_retained"], 3),
+            f"structural pulse loss ({STRUCTURAL_LANES} lanes)", rate,
+            round(mean_retained, 3),
+            round(float(retained.min()), 3),
+            round(float(retained.max()), 3),
         )
-    worst = max(
-        abs(part["mean_retained"] - (1.0 - part["rate"])) for part in structural
-    )
+        worst = max(worst, abs(mean_retained - (1.0 - rate)))
     result.add_claim(
         "structural DropChannel retains ~(1 - rate) of stream pulses",
         "retention tracks 1 - error rate",
@@ -306,7 +206,3 @@ def assemble(partials: List[dict]) -> ExperimentResult:
         "not the codecs); the structural rows are new (batch kernel)"
     )
     return result
-
-
-def run(trials: int = 5) -> ExperimentResult:
-    return assemble([run_point(point) for point in sweep_points(trials)])

@@ -1,17 +1,7 @@
-"""Registry mapping experiment ids to their run() callables.
-
-Experiments whose work decomposes into independent, picklable sweep
-points additionally appear in :data:`SWEEPS`, mapping the id to a module
-that provides ``sweep_points() -> list``, ``run_point(point) -> dict``
-and ``assemble(partials) -> ExperimentResult`` with
-``run() == assemble([run_point(p) for p in sweep_points()])``.  The
-experiment runner (:mod:`repro.runner`) uses this to fan one experiment
-out across worker processes.
-"""
+"""Registry mapping experiment ids to their run() callables."""
 
 from __future__ import annotations
 
-from types import ModuleType
 from typing import Callable, Dict, List
 
 from repro.errors import ConfigurationError
@@ -62,14 +52,6 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "lint": lint_blocks.run,
     "shard": shard_noc.run,
     "validation": validation.run,
-}
-
-#: Experiments that expose their sweep as picklable per-point work units.
-SWEEPS: Dict[str, ModuleType] = {
-    "fig14": fig14_pe,
-    "fig16": fig16_dpu,
-    "fig18": fig18_fir,
-    "fig19": fig19_accuracy,
 }
 
 #: Opt-in variants of registry experiments.  They resolve and run like any

@@ -1,20 +1,11 @@
-"""Shared process-pool plumbing for the runner and the shard engine.
+"""Worker-process plumbing for the shard engine and the serving tier.
 
-Two execution shapes live here:
-
-* :func:`pool_map` — the stateless fan-out the experiment runner uses:
-  map a picklable function over work units, results in submission order,
-  serial fallback when a pool cannot help.  Extracted verbatim from
-  ``repro.runner.engine`` so the runner and :class:`repro.shard.engine.
-  ShardSimulator` share one implementation (runner behaviour is locked
-  byte-identical by the runner test suite).
-
-* :class:`ProcessActor` — the stateful shape the shard engine needs: a
-  persistent worker process owning long-lived state (a sealed shard
-  kernel), serving a request/response command loop over a pipe.  Several
-  actors progress concurrently because :meth:`ProcessActor.submit` does
-  not wait for the reply; callers broadcast commands to all actors, then
-  collect with :meth:`ProcessActor.result`.
+:class:`ProcessActor` is a persistent worker process owning long-lived
+state (a sealed shard kernel), serving a request/response command loop
+over a pipe.  Several actors progress concurrently because
+:meth:`ProcessActor.submit` does not wait for the reply; callers
+broadcast commands to all actors (:func:`broadcast`), then collect with
+:meth:`ProcessActor.result`.
 
 :func:`resolve_jobs` is the one place a user-facing ``--jobs`` value
 (``"auto"``, a number, or ``None``) becomes a concrete worker count.
@@ -25,13 +16,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ReproError
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 class WorkerError(ReproError):
@@ -75,22 +62,6 @@ def resolve_jobs(jobs: Union[int, str, None]) -> int:
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def pool_map(
-    fn: Callable[[_T], _R], items: Sequence[_T], jobs: int
-) -> List[_R]:
-    """Map ``fn`` over ``items``, results in submission order.
-
-    Runs serially when ``jobs <= 1`` or there is at most one item (a pool
-    cannot help and its spawn cost would dominate); otherwise fans out
-    across a :class:`~concurrent.futures.ProcessPoolExecutor`.  ``fn``
-    and every item must be picklable in the pooled case.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- persistent actors ---------------------------------------------------------

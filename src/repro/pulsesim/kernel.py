@@ -21,7 +21,7 @@ once per netlist:
   mux/demux, clocked gates, inhibit, and the timed mergers, balancer
   and BFF routing unit) runs inline, without a single Python method
   call.  A table port compiles by the shape of its rows: one state with
-  one output -> the ``DELAY*`` programs, one state otherwise ->
+  one output on one unprobed wire -> ``DELAY1``, one state otherwise ->
   ``MULTI``; no output and one common next state -> ``STORE``; one
   output from exactly one state -> ``GUARD``; anything else -> the
   general ``TABLE`` opcode.  A timed port (rows picked by guard bits
@@ -85,6 +85,7 @@ worker processes inherit.
 from __future__ import annotations
 
 import os
+import weakref
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Dict, List, Optional
@@ -119,12 +120,10 @@ _OP_DELAY1 = 0  # [0, kb, dly, nop]                   1 output, 1 wire, unprobed
 _OP_GUARD = 1  # [1, cell, fire, fire_next, other_next, dq, taps, rows]
 _OP_TIMED = 2  # [2, cell, ((bound, offset), ...), rows, counter]  timed table
 _OP_WINDOW = 3  # [3, cell, bound, counter, dq, taps, rows]  one state, 1 guard
-_OP_MULTI = 4  # [4, emissions]                      one state, 0 or 2+ outputs
+_OP_MULTI = 4  # [4, emissions]                      one state, any other fanout
 _OP_STORE = 5  # [5, cell, state]                    no output, state <- constant
-_OP_DELAYN = 6  # [6, dq, taps, rows]                 1 output, 0 or 2+ wires
-_OP_DELAY1T = 7  # [7, dq, taps, kb, dly, nop]         1 output, 1 wire, probed
-_OP_TABLE = 8  # [8, cell, ((next_state, emissions), ...)]  per-state rows
-_OP_CALL = 9  # [9, handle, port]                    generic cell
+_OP_TABLE = 6  # [6, cell, ((next_state, emissions), ...)]  per-state rows
+_OP_CALL = 7  # [7, handle, port]                    generic cell
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
@@ -230,19 +229,12 @@ def _compile_table(cell, port, circuit):
     shape = cell._shapes[port]
     kind = shape[0]
     if kind == "fanout":
-        outputs = shape[1]
-        if len(outputs) != 1:
-            return [
-                _OP_MULTI,
-                tuple(_emission(circuit, cell, out) for out in outputs),
-            ]
-        dq, taps, fan = _emission(circuit, cell, outputs[0])
-        if len(fan) == 1:
-            kb, dly, nop = fan[0]
-            if not taps:
-                return [_OP_DELAY1, kb, dly, nop]
-            return [_OP_DELAY1T, dq, taps, kb, dly, nop]
-        return [_OP_DELAYN, dq, taps, fan]
+        emissions = tuple(_emission(circuit, cell, out) for out in shape[1])
+        if len(emissions) == 1:
+            _dq, taps, fan = emissions[0]
+            if not taps and len(fan) == 1:
+                return [_OP_DELAY1, *fan[0]]
+        return [_OP_MULTI, emissions]
     if kind == "store":
         return [_OP_STORE, cell, shape[1]]
     if kind == "guard":
@@ -282,12 +274,15 @@ def _make_emit(element: Element, table: Dict[str, tuple]):
     persistent emission table, patched in place on recompile.  If the
     simulator is not a :class:`SealedSimulator` (e.g. the same circuit is
     re-run under ``kernel="reference"`` for a differential check) the
-    closure falls back to the simulator's own ``emit``.
+    closure falls back to the simulator's own ``emit``.  The closure holds
+    its cell only weakly, so the cell and its closure form no reference
+    cycle.
     """
+    cell = weakref.ref(element)
 
     def emit(sim, port: str, time: int) -> None:
         if sim.__class__ is not SealedSimulator:
-            return sim.emit(element, port, time)
+            return sim.emit(cell(), port, time)
         sim._pulses += 1
         row = table.get(port)
         if row is None:
@@ -759,49 +754,7 @@ class SealedSimulator(Simulator):
                                     buckets[arrival] = [entry, b]
                     elif kind == 5:  # STORE
                         op[1].state = op[2]
-                    elif kind == 6:  # DELAYN: one output, 0 or 2+ wires
-                        _k, dq, taps, rows = op
-                        pulses += 1
-                        if taps:
-                            ot = t + dq
-                            for record in taps:
-                                record(ot)
-                        for kb, dly, nop in rows:
-                            arrival = t + dly
-                            k = kb + seq
-                            entry = (k, nop)
-                            seq += 1
-                            b = bget(arrival)
-                            if b is None:
-                                buckets[arrival] = entry
-                                push(times, arrival)
-                            elif type(b) is list:
-                                bpush(b, entry)
-                            elif b[0] < k:
-                                buckets[arrival] = [b, entry]
-                            else:
-                                buckets[arrival] = [entry, b]
-                    elif kind == 7:  # DELAY1T: probed single-wire fanout
-                        _k, dq, taps, kb, dly, nop = op
-                        pulses += 1
-                        ot = t + dq
-                        for record in taps:
-                            record(ot)
-                        arrival = t + dly
-                        k = kb + seq
-                        entry = (k, nop)
-                        seq += 1
-                        b = bget(arrival)
-                        if b is None:
-                            buckets[arrival] = entry
-                            push(times, arrival)
-                        elif type(b) is list:
-                            bpush(b, entry)
-                        elif b[0] < k:
-                            buckets[arrival] = [b, entry]
-                        else:
-                            buckets[arrival] = [entry, b]
-                    elif kind == 8:  # TABLE: state-dependent row
+                    elif kind == 6:  # TABLE: state-dependent row
                         cell = op[1]
                         nxt, emissions = op[2][cell.state]
                         cell.state = nxt
@@ -826,7 +779,7 @@ class SealedSimulator(Simulator):
                                     buckets[arrival] = [b, entry]
                                 else:
                                     buckets[arrival] = [entry, b]
-                    elif kind == 9:  # CALL: generic cell handle
+                    elif kind == 7:  # CALL: generic cell handle
                         self.now = now
                         self._sequence = seq
                         self._pulses = pulses

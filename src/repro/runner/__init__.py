@@ -1,11 +1,10 @@
-"""Parallel, cached execution engine for the paper's experiments.
+"""Cached execution engine for the paper's experiments.
 
 The runner turns the experiment registry into a restartable batch job:
 
-* **fan-out** — ``run_suite(ids, jobs=N)`` spreads experiments (and, for
-  the sweep-heavy figures, points *within* one experiment) across a
-  process pool, then assembles results in registry order so output is
-  byte-identical to a serial run;
+* **in-process runs** — ``run_suite(ids)`` runs each requested experiment
+  in the calling process, in registry order, capturing its simulation
+  counters and metrics;
 * **result cache** — a content-addressed on-disk cache keyed by the
   experiment id and a digest of every source file under ``repro``, so an
   unchanged tree re-runs near-instantly and *any* source edit invalidates
@@ -17,7 +16,7 @@ Typical usage::
 
     from repro.runner import ResultCache, run_suite
 
-    report = run_suite(["fig18", "fig19"], jobs=4, cache=ResultCache(".usfq-cache"))
+    report = run_suite(["fig18", "fig19"], cache=ResultCache(".usfq-cache"))
     assert report.failures == 0
 """
 
@@ -25,7 +24,6 @@ from repro.runner.cache import DEFAULT_CACHE_DIR, CacheEntry, ResultCache, sourc
 from repro.runner.engine import ExperimentOutcome, RunReport, run_suite
 from repro.runner.manifest import MANIFEST_SCHEMA, build_manifest, write_manifest
 from repro.runner.serialize import result_from_dict, result_to_dict
-from repro.runner.worker import UnitOutcome, WorkUnit, execute_unit
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -34,10 +32,7 @@ __all__ = [
     "ExperimentOutcome",
     "ResultCache",
     "RunReport",
-    "UnitOutcome",
-    "WorkUnit",
     "build_manifest",
-    "execute_unit",
     "result_from_dict",
     "result_to_dict",
     "run_suite",

@@ -69,7 +69,7 @@ class ResultCache:
                 compute_time_s=payload["compute_time_s"],
                 metrics=payload.get("metrics", empty_metrics()),
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
 
     def store(

@@ -19,16 +19,14 @@ from repro.runner.engine import RunReport
 #: Bump on any backwards-incompatible manifest layout change.
 #: 2: added the top-level ``kernel`` field (simulator kernel of the run).
 #: 3: per-experiment ``metrics`` (counters/gauges/histograms, including
-#:    ``faults.*`` channel counters), ``metrics_points`` for sweeps the
-#:    runner split across workers, and ``stats.max_queue_depth``.
-#: 4: added the top-level ``batch`` field (whether sweep experiments ran
-#:    through their Monte-Carlo-coalescing ``run_points_batch`` hook).
-#: 5: ``jobs`` is now the *resolved* worker count (``--jobs auto`` pins
-#:    to the host CPU count) and ``jobs_requested`` preserves the raw
-#:    request, so manifests from different hosts stay explainable.
-#: 6: dropped the top-level ``batch`` field with ``usfq-experiments
-#:    --batch``; every run takes the one per-point path.
-MANIFEST_SCHEMA = 6
+#:    ``faults.*`` channel counters), per-point metrics for split sweeps,
+#:    and ``stats.max_queue_depth``.
+#: 4: added a top-level ``batch`` field (Monte-Carlo-coalesced sweeps).
+#: 5: recorded the resolved worker count next to the raw request.
+#: 6: dropped ``batch`` with ``usfq-experiments --batch``.
+#: 7: dropped the worker-count fields and the per-point metrics with
+#:    ``usfq-experiments --jobs``; every experiment runs in-process.
+MANIFEST_SCHEMA = 7
 
 
 def build_manifest(
@@ -37,7 +35,7 @@ def build_manifest(
     """Summarise one run as a JSON-ready dict (see docs/running.md)."""
     experiments = {}
     for experiment_id, outcome in report.outcomes.items():
-        entry = {
+        experiments[experiment_id] = {
             "wall_time_s": round(outcome.compute_time_s, 6),
             "cache": outcome.cache_status,
             "claims_held": outcome.result.claims_held,
@@ -49,16 +47,11 @@ def build_manifest(
             },
             "metrics": outcome.metrics,
         }
-        if outcome.metrics_points is not None:
-            entry["metrics_points"] = outcome.metrics_points
-        experiments[experiment_id] = entry
     claims_total = sum(e["claims_total"] for e in experiments.values())
     claims_held = sum(e["claims_held"] for e in experiments.values())
     return {
         "schema": MANIFEST_SCHEMA,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "jobs": report.jobs,
-        "jobs_requested": report.jobs_requested,
         "kernel": report.kernel,
         "wall_time_s": round(report.wall_time_s, 6),
         "cache": {

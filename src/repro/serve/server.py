@@ -232,7 +232,7 @@ class ServeService:
         started = self._now()
         try:
             payload = json.loads(body)
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
             return self._error(400, "request body is not valid JSON")
         try:
             request = parse_request(payload)

@@ -48,7 +48,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SynthesisError
 
@@ -261,7 +261,7 @@ def spec_from_json(text: str) -> DataflowSpec:
     """Parse and validate a spec from its JSON text."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SynthesisError(f"spec is not valid JSON: {exc}") from exc
     return DataflowSpec.from_json(doc)
 

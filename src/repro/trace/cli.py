@@ -134,7 +134,7 @@ def _validate(args) -> int:
         try:
             with open(args.perfetto) as handle:
                 info = validate_trace(json.load(handle))
-        except (OSError, ValueError) as error:
+        except (OSError, ValueError, RecursionError) as error:
             print(f"perfetto invalid: {error}", file=sys.stderr)
             failures += 1
         else:

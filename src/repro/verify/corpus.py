@@ -73,10 +73,12 @@ def load_entry(path: Path) -> Dict:
     path = Path(path)
     try:
         entry = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, json.JSONDecodeError, RecursionError) as error:
         raise VerificationError(f"unreadable corpus entry {path}: {error}") \
             from error
-    if not isinstance(entry, dict) or entry.get("format") != FORMAT:
+    if not isinstance(entry, dict):
+        raise VerificationError(f"corpus entry {path} is not a JSON object")
+    if entry.get("format") != FORMAT:
         raise VerificationError(
             f"corpus entry {path} has unsupported format "
             f"{entry.get('format')!r} (expected {FORMAT})"

@@ -54,12 +54,14 @@ def test_connect_rejects_foreign_elements():
 
 def test_circuits_die_on_del_without_the_cycle_collector():
     """Cells point back at their circuit only weakly: a compiled, linted,
-    analyzed and simulated synth program, and a DPU after sealed and
-    batch runs, are freed by reference counting alone."""
+    analyzed and simulated synth program, a DPU after sealed and batch
+    runs, and a sealed circuit whose fault channel runs on the generic
+    call opcode are freed by reference counting alone."""
     from pathlib import Path
 
     from repro.core.dpu import DotProductUnit
     from repro.encoding.epoch import EpochSpec
+    from repro.pulsesim import DropChannel
     from repro.synth.api import analyze_program, compile_json, lint_program
 
     spec = Path(__file__).parents[2] / "examples" / "specs" / "elementwise.json"
@@ -72,10 +74,23 @@ def test_circuits_die_on_del_without_the_cycle_collector():
         dpu = DotProductUnit(EpochSpec(bits=5), 8, bipolar=True)
         dpu.run_counts([1] * 8, [2] * 8)
         dpu._run_counts_batch_kernel([[1] * 8] * 2, [[2] * 8] * 2)
-        circuits = [weakref.ref(program.circuit), weakref.ref(dpu.circuit)]
+        lossy = Circuit("lossy")
+        head, channel, tail = (
+            lossy.add(Jtl("head")),
+            lossy.add(DropChannel("loss", drop_rate=0.5, seed=1)),
+            lossy.add(Jtl("tail")),
+        )
+        lossy.connect(head, "q", channel, "a")
+        lossy.connect(channel, "q", tail, "a")
+        lossy.seal()
+        sim = Simulator(lossy)
+        sim.schedule_train(head, "a", range(0, 40_000, 10_000))
+        sim.run()
+        refs = [weakref.ref(obj) for obj in
+                (program.circuit, dpu.circuit, lossy, head, channel, tail)]
         assert program.circuit.elements[0].circuit is program.circuit
-        del program, dpu
-        assert [ref() for ref in circuits] == [None, None]
+        del program, dpu, lossy, head, channel, tail, sim
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 

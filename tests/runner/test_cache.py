@@ -50,6 +50,13 @@ def test_corrupt_entry_reads_as_miss(tmp_path):
     assert cache.load("table2") is None
 
 
+def test_deeply_nested_entry_reads_as_miss(tmp_path):
+    cache = _fixed_cache(tmp_path)
+    cache.store("table2", run_experiment("table2"), SimulationStats(), 0.0)
+    cache.path("table2").write_text("[" * 100_000 + "]" * 100_000)
+    assert cache.load("table2") is None
+
+
 def test_source_digest_tracks_file_content(tmp_path):
     tree = tmp_path / "pkg"
     tree.mkdir()

@@ -1,14 +1,10 @@
-"""run_suite: fan-out, cache integration, deterministic aggregation."""
+"""run_suite: in-process runs, cache integration, registry order."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.report import format_result
 from repro.runner import ResultCache, run_suite
-
-# Cheap but representative: two sweep-capable figures plus a
-# simulator-backed experiment and a pure-table one.
-SUBSET = ["fig14", "fig16", "fig02", "table2"]
 
 
 def test_unknown_id_raises_before_any_work():
@@ -19,14 +15,6 @@ def test_unknown_id_raises_before_any_work():
 def test_outcomes_are_registry_ordered():
     report = run_suite(["fig12", "table1"])
     assert list(report.outcomes) == ["table1", "fig12"]
-
-
-def test_parallel_run_matches_serial_byte_for_byte():
-    serial = run_suite(SUBSET, jobs=1)
-    parallel = run_suite(SUBSET, jobs=2)
-    for experiment_id in SUBSET:
-        assert format_result(parallel.outcomes[experiment_id].result) == \
-            format_result(serial.outcomes[experiment_id].result)
 
 
 def test_simulation_stats_are_captured():

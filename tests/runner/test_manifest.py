@@ -8,11 +8,10 @@ from repro.runner.manifest import MANIFEST_SCHEMA
 
 def test_manifest_schema_and_totals(tmp_path):
     cache = ResultCache(tmp_path / "cache", digest="e" * 64)
-    report = run_suite(["table2", "fig12"], jobs=1, cache=cache)
+    report = run_suite(["table2", "fig12"], cache=cache)
     manifest = build_manifest(report, ["table2", "fig12"])
 
     assert manifest["schema"] == MANIFEST_SCHEMA
-    assert manifest["jobs"] == 1
     assert manifest["wall_time_s"] > 0
     assert manifest["cache"]["misses"] == 2
     assert manifest["cache"]["source_digest"] == "e" * 64
@@ -76,16 +75,6 @@ def test_manifest_carries_metrics_schema3(tmp_path):
     json.dumps(manifest)  # metrics must stay JSON-serialisable
 
 
-def test_sweep_manifest_merges_point_metrics(tmp_path):
-    """A split sweep reports merged metrics plus the per-point breakdown."""
-    report = run_suite(["fig16"], jobs=2)
-    manifest = build_manifest(report)
-    entry = manifest["experiments"]["fig16"]
-    assert "metrics" in entry
-    assert "metrics_points" in entry
-    assert len(entry["metrics_points"]) == 5  # one per swept length
-
-
 def test_cached_rerun_restores_metrics(tmp_path):
     from repro.experiments.registry import EXPERIMENTS
     from repro.experiments.report import ExperimentResult
@@ -109,22 +98,3 @@ def test_cached_rerun_restores_metrics(tmp_path):
     assert warm["experiments"]["table2"]["metrics"] == (
         cold["experiments"]["table2"]["metrics"]
     )
-
-
-def test_jobs_auto_is_resolved_and_recorded():
-    import os
-
-    import pytest
-
-    from repro.errors import ConfigurationError
-
-    report = run_suite(["table2"], jobs="auto")
-    manifest = build_manifest(report)
-    assert manifest["jobs"] == (os.cpu_count() or 1)
-    assert manifest["jobs_requested"] == "auto"
-
-    numeric = build_manifest(run_suite(["table2"], jobs="2"))
-    assert numeric["jobs"] == 2 and numeric["jobs_requested"] == "2"
-
-    with pytest.raises(ConfigurationError):
-        run_suite(["table2"], jobs="several")

@@ -307,6 +307,20 @@ def test_http_parse_errors_close_cleanly():
         assert status == 200
 
 
+def test_http_deeply_nested_json_gets_a_400():
+    body = b"[" * 100_000 + b"]" * 100_000
+    with start_server_thread(ServeConfig(port=0, workers=0)) as server:
+        request = (
+            "POST /v1/compute HTTP/1.1\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        status, _headers, payload = _split_response(
+            _raw_exchange(server.port, request)
+        )
+        assert status == 400
+        assert payload == {"error": "request body is not valid JSON", "ok": False}
+
+
 @pytest.mark.parametrize(
     "length, status",
     [("abc", 400), ("-1", 400), ("99999999", 413)],

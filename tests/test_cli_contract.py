@@ -14,6 +14,14 @@ import pytest
 
 FIR3 = str(Path(__file__).resolve().parents[1] / "examples" / "specs" / "fir3.json")
 
+#: Refused JSON documents: ``{deep}``, ``{list}`` and ``{string}`` are
+#: directories holding the named one as ``entry.json``.
+DOCUMENTS = {
+    "deep": "[" * 100_000 + "]" * 100_000,  # json.loads: RecursionError
+    "list": "[]",
+    "string": '"x"',
+}
+
 #: Placeholders: ``{missing}`` is a directory that does not exist yet,
 #: ``{blocked}`` sits under a regular file.
 BAD_INPUT = [
@@ -31,9 +39,13 @@ BAD_INPUT = [
     ("shard", ["run", "pnm", "--pulses", "0"]),
     ("shard", ["run", "pnm", "--pulses", "-1"]),
     ("synth", ["compile", FIR3, "--out", "{blocked}/fir3.json"]),
+    ("synth", ["check", "{deep}/entry.json"]),
     ("verify", ["--max-examples", "-1"]),
     ("verify", ["--max-examples", "0"]),
     ("verify", ["--replay", "{missing}/corpus"]),
+    ("verify", ["--replay", "{deep}"]),
+    ("verify", ["--replay", "{list}"]),
+    ("verify", ["--replay", "{string}"]),
     ("trace", ["dpu", "--bits", "0"]),
     ("trace", ["dpu", "--epochs", "0"]),
     ("trace", ["fig16", "--epochs", "1", "--metrics", "{blocked}/m.json"]),
@@ -47,6 +59,7 @@ BAD_INPUT = [
     ("serve", ["--port", "70000"]),
     ("serve", ["--drain-grace-s", "-5"]),
     ("experiments", ["fig99"]),
+    ("experiments", ["table2", "--jobs", "2"]),
     ("experiments", ["table2", "--no-cache", "--output", "{blocked}/reports"]),
     ("experiments", ["table2", "--no-cache", "--manifest", "{blocked}/run.json"]),
 ]
@@ -71,6 +84,10 @@ def _invoke(name, argv, tmp_path):
     (tmp_path / "file").write_text("")
     paths = {"{missing}": str(tmp_path / "a" / "b"),
              "{blocked}": str(tmp_path / "file")}
+    for doc, text in DOCUMENTS.items():
+        (tmp_path / doc).mkdir()
+        (tmp_path / doc / "entry.json").write_text(text)
+        paths[f"{{{doc}}}"] = str(tmp_path / doc)
     for token, path in paths.items():
         argv = [arg.replace(token, path) for arg in argv]
     main = importlib.import_module(f"repro.{name}.cli").main
@@ -110,3 +127,14 @@ def test_outputs_create_missing_directories(name, argv, tmp_path, capsys):
     assert status == 0, capsys.readouterr().err
     written = [arg for arg in argv if arg.startswith(str(tmp_path / "a"))]
     assert written and all(Path(path).exists() for path in written)
+
+
+def test_trace_validate_reports_deep_json_as_invalid(tmp_path, capsys):
+    status, _argv = _invoke(
+        "trace", ["validate", "--perfetto", "{deep}/entry.json"], tmp_path
+    )
+    out, err = capsys.readouterr()
+    assert status == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("perfetto invalid: ")
