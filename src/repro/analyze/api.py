@@ -63,6 +63,10 @@ class Analysis:
     fixpoint: FixpointResult
     report: AnalysisReport
     config: AnalyzeConfig = field(default_factory=AnalyzeConfig)
+    #: Static peak-queue-depth bound (:data:`INF` when unbounded).
+    queue_depth_bound: int = INF
+    #: ``[lo, hi]`` JJ switching-event envelope for one run.
+    switching_events: Tuple[int, int] = (0, INF)
 
     # -- bound lookups (the soundness-oracle surface) -----------------------
     def input_bounds(self, element: Element, port: str) -> PulseBounds:
@@ -70,16 +74,6 @@ class Analysis:
 
     def output_bounds(self, element: Element, port: str) -> PulseBounds:
         return self.fixpoint.output_bounds(element, port)
-
-    @property
-    def queue_depth_bound(self) -> int:
-        """Static peak-queue-depth bound (:data:`INF` when unbounded)."""
-        return checks.queue_depth_bound(self.fixpoint)
-
-    @property
-    def switching_events(self) -> Tuple[int, int]:
-        """``[lo, hi]`` JJ switching-event envelope for one run."""
-        return checks.switching_event_envelope(self.fixpoint)
 
     def bounds_table(self) -> List[Dict[str, object]]:
         """Every (element, port) bound, JSON-ready (for --json output)."""
@@ -232,4 +226,6 @@ def analyze_circuit(
     stats["switching_energy_hi_j"] = energy_hi
     stats["fixpoint_iterations"] = fx.iterations
     stats["widened_elements"] = len(fx.widened)
-    return Analysis(fixpoint=fx, report=report, config=config)
+    return Analysis(fixpoint=fx, report=report, config=config,
+                    queue_depth_bound=bound,
+                    switching_events=(events_lo, events_hi))

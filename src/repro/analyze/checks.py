@@ -450,19 +450,7 @@ def dead_path_findings(fx: FixpointResult) -> List[Finding]:
     return findings
 
 
-# -- scheduler queue bound -----------------------------------------------------
-def queue_depth_bound(fx: FixpointResult) -> int:
-    """Static upper bound on the event kernel's peak queue depth."""
-    return scan_outputs(fx).queue_bound
-
-
 # -- switching-energy envelope -------------------------------------------------
-def switching_event_envelope(fx: FixpointResult) -> Tuple[int, int]:
-    """``[lo, hi]`` bound on JJ switching events for one run."""
-    scan = scan_outputs(fx)
-    return scan.events_lo, scan.events_hi
-
-
 def energy_from_events(
     events_lo: int, events_hi: int,
 ) -> Tuple[float, Optional[float]]:
@@ -470,10 +458,3 @@ def energy_from_events(
     lo = events_lo * tech.E_SWITCH_J
     hi = None if events_hi >= INF else events_hi * tech.E_SWITCH_J
     return lo, hi
-
-
-def switching_energy_envelope_j(
-    fx: FixpointResult,
-) -> Tuple[float, Optional[float]]:
-    """``[lo, hi]`` switching energy in joules (``None`` = unbounded)."""
-    return energy_from_events(*switching_event_envelope(fx))

@@ -6,8 +6,9 @@ entry-point abstractions through the netlist:
 * an input port's state is the *superposition* of its entry abstraction
   (if externally driven) and one contribution per in-wire — the driving
   output's bounds shifted by the wire delay;
-* an element's output bounds are its registered transfer function applied
-  to its input states;
+* an element's output bounds are its transfer function
+  (:func:`~repro.analyze.transfer.transfer_for`) applied to its input
+  states;
 * every change to an output propagates to the sinks of its fan-out wires,
   which re-enter the worklist.
 
@@ -32,7 +33,7 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.analyze.domain import NONE, PulseBounds, superpose, widen
-from repro.analyze.transfer import TRANSFER, TransferFn, transfer, transfer_unknown
+from repro.analyze.transfer import TransferFn, transfer, transfer_for
 from repro.errors import SimulationError
 from repro.lint.graph import CircuitGraph
 from repro.pulsesim.element import Element
@@ -128,8 +129,7 @@ def _build_plan(circuit: Circuit, graph: CircuitGraph) -> _Plan:
         kind = type(element)
         tfn = transfer_cache.get(kind)
         if tfn is None:
-            tfn = TRANSFER.get(kind.__name__, transfer_unknown)
-            transfer_cache[kind] = tfn
+            tfn = transfer_cache[kind] = transfer_for(kind)
         in_ports = []
         for port in element.input_names:
             wires = in_index.get((eid, port))

@@ -11,7 +11,7 @@ switching-energy envelope, fixpoint effort).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.report import Severity
 
@@ -107,11 +107,3 @@ class AnalysisReport:
             "waived": [f.to_dict() for f in self.waived],
             "stats": dict(self.stats),
         }
-
-
-def merge_reports(reports: Sequence[AnalysisReport]) -> Dict[str, object]:
-    """Multi-target JSON envelope (the ``--all-blocks --json`` shape)."""
-    return {
-        "targets": [report.to_dict() for report in reports],
-        "ok": all(report.ok for report in reports),
-    }

@@ -7,15 +7,17 @@ inside the returned output bounds — counts, timestamps, and spacings.
 The ``static-soundness`` oracle in :mod:`repro.verify` fuzzes exactly
 this contract against the event kernel.
 
-Two recurring arguments make most bounds easy:
+A :class:`~repro.pulsesim.element.TableCell`'s bounds are read off its
+transition table (:func:`transfer_table`), so each finite-state cell's
+behaviour is written once.  A table cell emits at ``arrival + delay``,
+at most one pulse per output per input pulse: an output's window is its
+triggering ports' window shifted by the delay, its spacing at least
+theirs, and its counts follow from the states the driven ports can reach
+(:func:`_recipe`).  Timed tables are read with every guard-bit row
+allowed, so their bounds hold for any timing.
 
-* every cell emits at ``triggering-arrival + fixed delay``, so an output
-  window is some driving port's window shifted by the cell delay; and
-* emissions triggered by a subset of one port's pulses inherit at least
-  that port's spacing guarantee (a subsequence is never closer-spaced
-  than the full sequence).
-
-Cells without a registered function get :func:`transfer_unknown`: counts
+Functions registered by class name in :data:`TRANSFER` cover the cells
+without a table.  Any other cell gets :func:`transfer_unknown`: counts
 ``[0, INF]``, window ``[earliest driven input, INF]`` (the kernel's
 causality check forbids emitting into the past), no spacing guarantee —
 always sound, never precise.
@@ -23,22 +25,20 @@ always sound, never precise.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping
+from functools import lru_cache
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
 
-from repro.analyze.domain import (
-    INF,
-    NONE,
-    PulseBounds,
-    sat_add,
-    superpose,
-)
-from repro.pulsesim.element import Element
+from repro.analyze.domain import INF, NONE, PulseBounds, sat_add, superpose
+from repro.pulsesim.element import Element, Row, TableCell
 
 #: One cell's abstract input streams, keyed by input port name.
 Inputs = Mapping[str, PulseBounds]
 #: One cell's abstract output streams, keyed by output port name.
 Outputs = Dict[str, PulseBounds]
 TransferFn = Callable[[Element, Inputs], Outputs]
+#: One output's bounds from a table cell's input bounds and delay.
+Rule = Callable[[Inputs, int], PulseBounds]
 
 TRANSFER: Dict[str, TransferFn] = {}
 
@@ -53,27 +53,28 @@ def register(*kinds: str) -> Callable[[TransferFn], TransferFn]:
 
 
 def transfer(element: Element, inputs: Inputs) -> Outputs:
-    """Dispatch on the cell class name; unknown kinds degrade safely."""
-    fn = TRANSFER.get(type(element).__name__, transfer_unknown)
-    return fn(element, inputs)
+    """Dispatch on the cell class; unknown kinds degrade safely."""
+    return transfer_for(type(element))(element, inputs)
+
+
+def transfer_for(cls: type) -> TransferFn:
+    """The function registered under ``cls``'s name, else the one read off
+    its table (:func:`transfer_table`, or :func:`transfer_unknown`)."""
+    return TRANSFER.get(cls.__name__) or _derive(cls)
+
+
+def transfer_table(element: Element, inputs: Inputs) -> Outputs:
+    """Any :class:`TableCell`'s output bounds, read off its table."""
+    return _derive(type(element))(element, inputs)
 
 
 def _delay(element: Element) -> int:
-    # Same value as Element.propagation_delay_fs, without the property
-    # hop — transfer functions sit on the analyzer's hot path.
+    # Element.propagation_delay_fs without the property hop (hot path).
     return getattr(element, "delay", 0)
 
 
 def _in(inputs: Inputs, port: str) -> PulseBounds:
     return inputs.get(port, NONE)
-
-
-def _stretch(bounds: PulseBounds, extra_max: int) -> PulseBounds:
-    """Extend the late edge of a window by up to ``extra_max`` fs."""
-    if bounds.is_none or extra_max == 0:
-        return bounds
-    return PulseBounds(bounds.n_lo, bounds.n_hi, bounds.t_min,
-                       sat_add(bounds.t_max, extra_max), bounds.gap)
 
 
 def transfer_unknown(element: Element, inputs: Inputs) -> Outputs:
@@ -85,38 +86,253 @@ def transfer_unknown(element: Element, inputs: Inputs) -> Outputs:
     return {port: top for port in element.output_names}
 
 
-# -- interconnect --------------------------------------------------------------
-@register("Jtl")
-def transfer_jtl(element: Element, inputs: Inputs) -> Outputs:
-    return {"q": _in(inputs, "a").shift(_delay(element))}
+# -- table cells ---------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _derive(cls: type) -> TransferFn:
+    """The dead-time rule for a table whose every port has the ``window``
+    shape (the mergers); else one :func:`_recipe` per set of driven ports,
+    built on first use.  As in the kernels, a cell that overrides ``handle``
+    or ``emit`` does not run its table."""
+    if not (issubclass(cls, TableCell) and cls.TRANSITIONS
+            and cls.handle is TableCell.handle and cls.emit is Element.emit):
+        return transfer_unknown
+    shape, *others = {kind[:2] for kind in cls._shapes.values()}
+    if not others and shape[0] == "window":
+        return _dead_time_rule(shape[1], cls.GUARDS[0])
+    ports = tuple(cls.TRANSITIONS)
+    if len(ports) == 1 and not cls.GUARDS:
+        return _recipe(cls, ports)  # an undriven input reads as silence
+    bits = tuple((port, 1 << index) for index, port in enumerate(ports))
+    recipes: List[Optional[TransferFn]] = [None] * (1 << len(ports))
+
+    def transfer_cell(element: Element, inputs: Inputs) -> Outputs:
+        get = inputs.get
+        mask = 0
+        for port, bit in bits:
+            if get(port, NONE)[1]:
+                mask |= bit
+        recipe = recipes[mask]
+        if recipe is None:
+            driven = tuple(port for port, bit in bits if mask & bit)
+            recipe = recipes[mask] = _recipe(cls, driven)
+        return recipe(element, inputs)
+
+    return transfer_cell
 
 
-@register("Splitter")
-def transfer_splitter(element: Element, inputs: Inputs) -> Outputs:
-    out = _in(inputs, "a").shift(_delay(element))
-    return {"q1": out, "q2": out}
+def _rows(cls: Type[TableCell], port: str, state: int) -> List[Row]:
+    """The rows a pulse on ``port`` may take in ``state``, any guard bits."""
+    rows = cls.TRANSITIONS[port]
+    return [rows[code] for code in range(state, len(rows), cls._n_states)]
 
 
-@register("Merger", "IdealMerger")
-def transfer_merger(element: Element, inputs: Inputs) -> Outputs:
-    """Confluence with dead time: the first arrival is always accepted;
-    arrivals spaced >= dead_time are all accepted; accepted pulses are
-    themselves spaced >= dead_time."""
-    combined = superpose(_in(inputs, "a"), _in(inputs, "b"))
-    if combined.is_none:
-        return {"q": NONE}
-    dead_time = int(getattr(element, "dead_time", 0))
-    if dead_time > 0 and combined.gap < dead_time:
-        # Collisions possible: only the first arrival is guaranteed through.
-        n_lo = min(1, combined.n_lo)
+def _reach(cls: Type[TableCell], starts: Iterable[int],
+           ports: Iterable[str]) -> Set[int]:
+    """The states that pulses on ``ports`` can reach from ``starts``."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        state = todo.pop()
+        for port in ports:
+            for row in _rows(cls, port, state):
+                if row[0] not in seen:
+                    seen.add(row[0])
+                    todo.append(row[0])
+    return seen
+
+
+def _fires(cls: Type[TableCell], ports: Iterable[str],
+           states: Iterable[int], out: str) -> bool:
+    """Whether a pulse on ``ports`` can emit ``out`` in one of ``states``."""
+    return any(out in row[1] for state in states for port in ports
+               for row in _rows(cls, port, state))
+
+
+def _recipe(cls: Type[TableCell], driven: Tuple[str, ...]) -> TransferFn:
+    """The transfer for pulses on the ``driven`` ports only.  An output's
+    *triggers* are the driven ports that can emit it in a state reachable
+    from ``INITIAL``; an output without one is silent."""
+    outs = tuple(Element._as_spec(port).name for port in cls.OUTPUTS)
+    if len(cls.TRANSITIONS) == 1 and not cls.GUARDS:
+        rules = [_run_rule(cls, driven[0], out) for out in outs]
     else:
-        n_lo = combined.n_lo
-    gap = max(combined.gap, dead_time) if combined.n_hi > 1 else combined.gap
-    out = PulseBounds(n_lo, combined.n_hi, combined.t_min, combined.t_max,
-                      gap)
-    return {"q": out.shift(_delay(element))}
+        reach = _reach(cls, (cls.INITIAL,), driven)
+        rules = []
+        for out in outs:
+            triggers = [p for p in driven if _fires(cls, (p,), reach, out)]
+            rules.append(_bounded_rule(cls, driven, triggers, reach, out)
+                         if triggers else _silent)
+    # Hot path: a lone output builds its dict literally, and outputs that
+    # share one rule (a splitter's) share its result.
+    if len(outs) == 1:
+        out, rule = outs[0], rules[0]
+
+        def transfer_one(element: Element, inputs: Inputs) -> Outputs:
+            return {out: rule(inputs, _delay(element))}
+
+        return transfer_one
+    if len(set(rules)) == 1:
+        rule = rules[0]
+
+        def transfer_alike(element: Element, inputs: Inputs) -> Outputs:
+            return dict.fromkeys(outs, rule(inputs, _delay(element)))
+
+        return transfer_alike
+    pairs = tuple(zip(outs, rules))
+
+    def transfer_each(element: Element, inputs: Inputs) -> Outputs:
+        delay = _delay(element)
+        return {out: rule(inputs, delay) for out, rule in pairs}
+
+    return transfer_each
 
 
+def _silent(inputs: Inputs, delay: int) -> PulseBounds:
+    return NONE
+
+
+@lru_cache(maxsize=None)
+def _pass(port: str) -> Rule:
+    """An output that repeats ``port``'s pulses one for one."""
+
+    def rule(inputs: Inputs, delay: int) -> PulseBounds:
+        return inputs.get(port, NONE).shift(delay)
+
+    return rule
+
+
+def _run_rule(cls: Type[TableCell], port: str, out: str) -> Rule:
+    """One input, untimed: its pulses walk one run of states from
+    ``INITIAL`` until a state repeats.  ``out`` carries the emissions
+    among the input's first ``n_lo``/``n_hi`` pulses, spaced at least the
+    input gap times the fewest pulses between two emissions."""
+    rows = cls.TRANSITIONS[port]
+    seen: Dict[int, int] = {}
+    fired: List[bool] = []
+    state = cls.INITIAL
+    while state not in seen:
+        seen[state] = len(fired)
+        fired.append(out in rows[state][1])
+        state = rows[state][0]
+    if all(fired):
+        return _pass(port)
+    start = seen[state]
+    loop = fired[start:]
+    hits = [pulse for pulse, hit in enumerate(fired + loop) if hit]
+    step = min((b - a for a, b in zip(hits, hits[1:])), default=INF)
+
+    def count(pulses: int) -> int:
+        if pulses >= INF:
+            return INF if any(loop) else sum(fired)
+        if pulses <= start:
+            return sum(fired[:pulses])
+        laps, rest = divmod(pulses - start, len(loop))
+        return sum(fired[:start]) + laps * sum(loop) + sum(loop[:rest])
+
+    def rule(inputs: Inputs, delay: int) -> PulseBounds:
+        a = inputs.get(port, NONE)
+        n_hi = count(a[1])
+        if not n_hi:
+            return NONE
+        gap = INF if step >= INF or a[4] >= INF else min(a[4] * step, INF)
+        return PulseBounds(count(a[0]), n_hi, min(a[2] + delay, INF),
+                           min(a[3] + delay, INF), gap)
+
+    return rule
+
+
+def _bounded_rule(cls: Type[TableCell], driven: Tuple[str, ...],
+                  triggers: List[str], reach: Set[int], out: str) -> Rule:
+    """``out``'s window and gap are its superposed triggers'.  A *cut* is
+    a set of ports ``R`` such that, after any emission, no further one can
+    happen without a pulse on ``R``.  ``n_hi`` is the least of the union's
+    ``n_hi`` and, per cut, ``R``'s summed ``n_hi`` plus one if an emission
+    can happen before the first pulse on ``R``.  ``n_lo`` is at least
+    ``min(1, union n_lo)`` when every trigger emits in every state the
+    other driven ports can reach before the first trigger pulse.  A single
+    trigger *re-arms* itself when ``INITIAL`` and every state its pulse
+    lands in are *armed* (it emits there on every row); then ``n_lo`` is
+    at least its ``n_lo`` less the summed ``n_hi`` of the driven ports
+    that can disarm it.
+    """
+    initial = (cls.INITIAL,)
+    after = {row[0] for port in triggers for state in reach
+             for row in _rows(cls, port, state) if out in row[1]}
+    cuts: List[Tuple[Tuple[str, ...], int]] = []
+    for size in range(len(driven) + 1):
+        for cut in combinations(driven, size):
+            if any(set(found) <= set(cut) for found, _ in cuts):
+                continue  # a superset of a cut bounds no tighter
+            rest = [port for port in driven if port not in cut]
+            if not _fires(cls, rest, _reach(cls, after, rest), out):
+                early = _fires(cls, rest, _reach(cls, initial, rest), out)
+                # A cut holding every trigger, with no early emission,
+                # bounds no tighter than the union.
+                if early or not set(triggers) <= set(cut):
+                    cuts.append((cut, int(early)))
+    others = [port for port in driven if port not in triggers]
+    first = all(out in row[1] for state in _reach(cls, initial, others)
+                for port in triggers for row in _rows(cls, port, state))
+    armed = {state for state in range(cls._n_states)
+             if all(out in row[1] for row in _rows(cls, triggers[0], state))}
+    rearm = len(triggers) == 1 and cls.INITIAL in armed and all(
+        row[0] in armed for state in reach
+        for row in _rows(cls, triggers[0], state))
+    disarmers = [port for port in driven if any(
+        row[0] not in armed for state in reach & armed
+        for row in _rows(cls, port, state))]
+    head, *tail = triggers
+
+    def rule(inputs: Inputs, delay: int) -> PulseBounds:
+        union = inputs[head]
+        for port in tail:
+            union = superpose(union, inputs[port])
+        n_hi = union[1]
+        for cut, early in cuts:
+            total = early
+            for port in cut:
+                total = sat_add(total, inputs[port][1])
+            n_hi = min(n_hi, total)
+        n_lo = min(1, union[0]) if first else 0
+        if rearm:
+            lost = 0
+            for port in disarmers:
+                lost = sat_add(lost, inputs[port][1])
+            if lost < INF:
+                n_lo = max(n_lo, union[0] - lost)
+        return PulseBounds(n_lo, n_hi, min(union[2] + delay, INF),
+                           min(union[3] + delay, INF), union[4])
+
+    return rule
+
+
+def _dead_time_rule(out: str, guard: str) -> TransferFn:
+    """The mergers' rule: a pulse emits ``out`` unless it lands within the
+    ``guard`` bound (the dead time) of the last emission, so the first
+    arrival is always accepted, and accepted pulses are spaced >= it."""
+
+    def transfer_merger(element: Element, inputs: Inputs) -> Outputs:
+        combined = NONE
+        for bounds in inputs.values():
+            combined = superpose(combined, bounds)
+        if combined.is_none:
+            return {out: NONE}
+        dead_time = int(getattr(element, guard))
+        if dead_time > 0 and combined.gap < dead_time:
+            # Collisions possible: only the first arrival is guaranteed.
+            n_lo = min(1, combined.n_lo)
+        else:
+            n_lo = combined.n_lo
+        gap = (max(combined.gap, dead_time) if combined.n_hi > 1
+               else combined.gap)
+        merged = PulseBounds(n_lo, combined.n_hi, combined.t_min,
+                             combined.t_max, gap)
+        return {out: merged.shift(_delay(element))}
+
+    return transfer_merger
+
+
+# -- cells without a table -----------------------------------------------------
 @register("DropChannel")
 def transfer_drop(element: Element, inputs: Inputs) -> Outputs:
     a = _in(inputs, "a")
@@ -167,222 +383,6 @@ def transfer_noclink(element: Element, inputs: Inputs) -> Outputs:
     gap = max(a.gap, slot) if a.n_hi > 1 else a.gap
     out = PulseBounds(n_lo, a.n_hi, a.t_min, sat_add(a.t_max, extra), gap)
     return {"q": out.shift(delay)}
-
-
-# -- toggles -------------------------------------------------------------------
-def _double_gap(gap: int) -> int:
-    return INF if gap >= INF else min(2 * gap, INF)
-
-
-@register("Tff")
-def transfer_tff(element: Element, inputs: Inputs) -> Outputs:
-    a = _in(inputs, "a")
-    out = a.scale_count(2, 2)
-    if out.is_none:
-        return {"q": NONE}
-    out = PulseBounds(out.n_lo, out.n_hi, out.t_min, out.t_max,
-                      _double_gap(a.gap))
-    return {"q": out.shift(_delay(element))}
-
-
-@register("Tff2")
-def transfer_tff2(element: Element, inputs: Inputs) -> Outputs:
-    a = _in(inputs, "a")
-    delay = _delay(element)
-    gap = _double_gap(a.gap)
-    # Pulses alternate q1, q2, q1, ... starting at q1.
-    q1_hi = (a.n_hi + 1) // 2 if a.n_hi < INF else INF
-    q2_hi = a.n_hi // 2 if a.n_hi < INF else INF
-
-    def port(n_lo: int, n_hi: int) -> PulseBounds:
-        if n_hi == 0:
-            return NONE
-        return PulseBounds(n_lo, n_hi, a.t_min, a.t_max, gap).shift(delay)
-
-    return {
-        "q1": port((a.n_lo + 1) // 2, q1_hi),
-        "q2": port(a.n_lo // 2, q2_hi),
-    }
-
-
-# -- storage -------------------------------------------------------------------
-@register("Dff")
-def transfer_dff(element: Element, inputs: Inputs) -> Outputs:
-    d, clk = _in(inputs, "d"), _in(inputs, "clk")
-    n_hi = min(d.n_hi, clk.n_hi)
-    if n_hi == 0:
-        return {"q": NONE}
-    out = PulseBounds(0, n_hi, clk.t_min, clk.t_max, clk.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-@register("Dff2")
-def transfer_dff2(element: Element, inputs: Inputs) -> Outputs:
-    a = _in(inputs, "a")
-    delay = _delay(element)
-
-    def readout(control: PulseBounds) -> PulseBounds:
-        n_hi = min(a.n_hi, control.n_hi)
-        if n_hi == 0:
-            return NONE
-        return PulseBounds(0, n_hi, control.t_min, control.t_max,
-                           control.gap).shift(delay)
-
-    return {"y1": readout(_in(inputs, "c1")),
-            "y2": readout(_in(inputs, "c2"))}
-
-
-@register("Ndro")
-def transfer_ndro(element: Element, inputs: Inputs) -> Outputs:
-    set_, clk = _in(inputs, "set"), _in(inputs, "clk")
-    if set_.is_none or clk.is_none:
-        return {"q": NONE}
-    out = PulseBounds(0, clk.n_hi, clk.t_min, clk.t_max, clk.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-@register("Bff")
-def transfer_bff(element: Element, inputs: Inputs) -> Outputs:
-    delay = _delay(element)
-
-    def write(port: str) -> PulseBounds:
-        drive = _in(inputs, port)
-        if drive.is_none:
-            return NONE
-        return PulseBounds(0, drive.n_hi, drive.t_min, drive.t_max,
-                           drive.gap).shift(delay)
-
-    return {"q1": write("s1"), "q2": write("s2"),
-            "nq1": write("r1"), "nq2": write("r2")}
-
-
-# -- logic ---------------------------------------------------------------------
-@register("Inverter")
-def transfer_inverter(element: Element, inputs: Inputs) -> Outputs:
-    a, clk = _in(inputs, "a"), _in(inputs, "clk")
-    if clk.is_none:
-        return {"q": NONE}
-    # Each data pulse suppresses at most one clock emission.
-    n_lo = max(0, clk.n_lo - a.n_hi) if a.n_hi < INF else 0
-    out = PulseBounds(n_lo, clk.n_hi, clk.t_min, clk.t_max, clk.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-@register("FirstArrival")
-def transfer_first_arrival(element: Element, inputs: Inputs) -> Outputs:
-    reset = _in(inputs, "reset")
-    data = superpose(_in(inputs, "a"), _in(inputs, "b"))
-    if data.is_none:
-        return {"q": NONE}
-    n_hi = min(data.n_hi, sat_add(1, reset.n_hi))
-    n_lo = min(1, data.n_lo)  # the gate starts armed
-    out = PulseBounds(n_lo, n_hi, data.t_min, data.t_max, data.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-@register("LastArrival")
-def transfer_last_arrival(element: Element, inputs: Inputs) -> Outputs:
-    reset = _in(inputs, "reset")
-    a, b = _in(inputs, "a"), _in(inputs, "b")
-    n_hi = min(a.n_hi, b.n_hi, sat_add(1, reset.n_hi))
-    if n_hi == 0:
-        return {"q": NONE}
-    union = superpose(a, b)
-    out = PulseBounds(0, n_hi, union.t_min, union.t_max, union.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-@register("Inhibit")
-def transfer_inhibit(element: Element, inputs: Inputs) -> Outputs:
-    reset = _in(inputs, "reset")
-    a, b = _in(inputs, "a"), _in(inputs, "b")
-    if a.is_none:
-        return {"q": NONE}
-    n_hi = min(a.n_hi, sat_add(1, reset.n_hi))
-    n_lo = min(1, a.n_lo) if b.is_none else 0
-    out = PulseBounds(n_lo, n_hi, a.t_min, a.t_max, a.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-def _clocked_gate(element: Element, inputs: Inputs, data_hi: int) -> Outputs:
-    clk = _in(inputs, "clk")
-    n_hi = min(clk.n_hi, data_hi)
-    if n_hi == 0:
-        return {"q": NONE}
-    out = PulseBounds(0, n_hi, clk.t_min, clk.t_max, clk.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-@register("ClockedAnd")
-def transfer_clocked_and(element: Element, inputs: Inputs) -> Outputs:
-    data_hi = min(_in(inputs, "a").n_hi, _in(inputs, "b").n_hi)
-    return _clocked_gate(element, inputs, data_hi)
-
-
-@register("ClockedOr", "ClockedXor")
-def transfer_clocked_or_xor(element: Element, inputs: Inputs) -> Outputs:
-    data_hi = sat_add(_in(inputs, "a").n_hi, _in(inputs, "b").n_hi)
-    return _clocked_gate(element, inputs, data_hi)
-
-
-# -- mux / demux ---------------------------------------------------------------
-@register("Mux")
-def transfer_mux(element: Element, inputs: Inputs) -> Outputs:
-    a0, a1 = _in(inputs, "a0"), _in(inputs, "a1")
-    sel1 = _in(inputs, "sel1")
-    union = superpose(a0, a1)
-    if union.is_none:
-        return {"q": NONE}
-    if sel1.is_none and a1.is_none:
-        # select stays 0 forever: channel 0 passes exactly.
-        n_lo = a0.n_lo
-    else:
-        n_lo = 0
-    out = PulseBounds(n_lo, union.n_hi, union.t_min, union.t_max, union.gap)
-    return {"q": out.shift(_delay(element))}
-
-
-@register("Demux")
-def transfer_demux(element: Element, inputs: Inputs) -> Outputs:
-    a = _in(inputs, "a")
-    sel1 = _in(inputs, "sel1")
-    delay = _delay(element)
-    if a.is_none:
-        return {"q0": NONE, "q1": NONE}
-    q0_lo = a.n_lo if sel1.is_none else 0
-    q0 = PulseBounds(q0_lo, a.n_hi, a.t_min, a.t_max, a.gap).shift(delay)
-    if sel1.is_none:
-        q1 = NONE
-    else:
-        q1 = PulseBounds(0, a.n_hi, a.t_min, a.t_max, a.gap).shift(delay)
-    return {"q0": q0, "q1": q1}
-
-
-# -- structural datapath cells -------------------------------------------------
-@register("Balancer")
-def transfer_balancer(element: Element, inputs: Inputs) -> Outputs:
-    union = superpose(_in(inputs, "a"), _in(inputs, "b"))
-    delay = _delay(element)
-    if union.is_none:
-        return {"y1": NONE, "y2": NONE}
-    out = PulseBounds(0, union.n_hi, union.t_min, union.t_max,
-                      union.gap).shift(delay)
-    return {"y1": out, "y2": out}
-
-
-@register("BffRoutingUnit")
-def transfer_bff_routing(element: Element, inputs: Inputs) -> Outputs:
-    delay = _delay(element)
-
-    def steered(port: str) -> PulseBounds:
-        drive = _in(inputs, port)
-        if drive.is_none:
-            return NONE
-        return PulseBounds(0, drive.n_hi, drive.t_min, drive.t_max,
-                           drive.gap).shift(delay)
-
-    return {"c1_a": steered("a"), "c2_a": steered("a"),
-            "c1_b": steered("b"), "c2_b": steered("b")}
 
 
 @register("PulseIntegrator")

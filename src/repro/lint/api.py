@@ -14,7 +14,7 @@ Typical usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional
 
 from repro.encoding.epoch import EpochSpec
@@ -56,10 +56,6 @@ class LintConfig:
             raise ConfigurationError(
                 f"jj_tolerance must be in [0, 1), got {self.jj_tolerance}"
             )
-
-    def suppressing(self, *rules: str) -> "LintConfig":
-        """A copy with additional rules suppressed."""
-        return replace(self, suppress=self.suppress | frozenset(rules))
 
 
 def lint_circuit(

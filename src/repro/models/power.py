@@ -112,7 +112,7 @@ def switching_energy_j(events: int) -> float:
 
     The event convention — each pulse a cell emits switches that cell's
     ``jj_count`` junctions once — is shared by the static envelope
-    (:func:`repro.analyze.checks.switching_event_envelope`) and the
+    (:attr:`repro.analyze.api.Analysis.switching_events`) and the
     measured count below, so the two are directly comparable:
     ``lo <= switching_energy_j(measured) <= hi``.
     """

@@ -70,6 +70,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.pulsesim.element import Element, TableCell
 from repro.pulsesim.netlist import Circuit
+from repro.pulsesim.simulator import SimulationStats, active_collectors
 
 #: Packed sort keys are ``priority * _SEQ_SPAN + sequence`` exactly like
 #: the scalar sealed kernel, so priority ordering is preserved.
@@ -407,8 +408,6 @@ class BatchStats:
 
     def lane(self, lane: int):
         """A :class:`~repro.pulsesim.simulator.SimulationStats` for one lane."""
-        from repro.pulsesim.simulator import SimulationStats
-
         return SimulationStats(
             events_processed=int(self.events[lane]),
             pulses_emitted=int(self.pulses[lane]),
@@ -586,7 +585,11 @@ class BatchSimulator:
         """Execute all pending stimulus; returns per-lane stats.
 
         ``until`` bounds simulated time (events after it stay queued for a
-        later ``run``).
+        later ``run``).  Like :meth:`Simulator.run
+        <repro.pulsesim.simulator.Simulator.run>`, each call adds its work
+        to the ambient :func:`~repro.pulsesim.simulator.capture_stats`
+        collectors: the lanes' events and pulses summed, the latest lane
+        end time, and the call's wall time (queue depth is not tracked).
         """
         if self._program.version != self.circuit._version:
             raise SimulationError(
@@ -594,16 +597,26 @@ class BatchSimulator:
                 "BatchSimulator was built; construct a new BatchSimulator"
             )
         wall0 = perf_counter()
+        events0 = self._total_events
+        pulses0 = int(self._pulses.sum())
         self._flush_raw_to_heap()
         self._run_events(until)
-        self._wall += perf_counter() - wall0
-        return BatchStats(
+        wall = perf_counter() - wall0
+        self._wall += wall
+        stats = BatchStats(
             batch=self.batch,
             events=self._events.copy(),
             pulses=self._pulses.copy(),
             end_time=self._end.copy(),
             wall_s=self._wall,
         )
+        delta = SimulationStats(
+            self._total_events - events0, stats.pulses_total - pulses0,
+            int(self._end.max()), 0, wall,
+        )
+        for collector in active_collectors():
+            collector.merge(delta)
+        return stats
 
     # -- masked event loop ----------------------------------------------------
     def _flush_raw_to_heap(self) -> None:

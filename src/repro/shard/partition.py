@@ -126,14 +126,6 @@ class ShardPlan:
         """Total static pulse-count bound over every cut wire."""
         return sum(cut.traffic_hi for cut in self.cuts)
 
-    def shard_of(self, name: str) -> int:
-        try:
-            return self.assignment[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"plan for {self.circuit_name!r} does not place cell {name!r}"
-            ) from None
-
     def cells_of(self, shard: int) -> List[str]:
         return sorted(
             name for name, owner in self.assignment.items() if owner == shard
@@ -265,18 +257,6 @@ def _wire_weight(
     wire: Wire, weights: Mapping[Tuple[int, str], int]
 ) -> int:
     return weights.get((id(wire.source), wire.source_port), 1)
-
-
-def _cut_cost(
-    circuit: Circuit,
-    assignment: Mapping[str, int],
-    weights: Mapping[Tuple[int, str], int],
-) -> int:
-    return sum(
-        _wire_weight(wire, weights)
-        for wire in circuit.iter_wires()
-        if assignment[wire.source.name] != assignment[wire.sink.name]
-    )
 
 
 def _refine(

@@ -24,7 +24,7 @@ against the original on every compile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.core.multiplier import MULTIPLIER_UNIPOLAR_JJ
 from repro.models import area, technology as tech

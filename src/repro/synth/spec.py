@@ -483,12 +483,6 @@ def validate_spec(spec: DataflowSpec) -> Dict[str, str]:
     return {ref: produced.encoding for ref, produced in env.items()}
 
 
-def output_encodings(spec: DataflowSpec) -> Dict[str, str]:
-    """``ref -> encoding`` for the spec's declared outputs."""
-    env = validate_spec(spec)
-    return {ref: env[ref] for ref in spec.outputs}
-
-
 def dataflow_spec(
     name: str,
     bits: int,

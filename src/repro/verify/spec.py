@@ -167,11 +167,6 @@ def pool_offsets(spec: NetlistSpec) -> List[int]:
         cursor += len(output_ports(cell.kind))
     return offsets
 
-def pool_size(spec: NetlistSpec) -> int:
-    return ENTRY_OUTPUTS + sum(
-        len(output_ports(cell.kind)) for cell in spec.cells
-    )
-
 
 def pool_outputs(spec: NetlistSpec) -> List[Tuple[int, str]]:
     """``(cell_index, port)`` per pool slot; cell index ``-1`` is the entry."""

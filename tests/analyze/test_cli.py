@@ -1,10 +1,14 @@
 """usfq-analyze CLI: output shapes, exit codes, fail-on policy."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.analyze.blocks import SHIPPED_BLOCKS
 from repro.analyze.cli import main
+
+_COMMITTED = Path(__file__).resolve().parents[2] / "results" / "analyze"
 
 
 def test_list_blocks(capsys):
@@ -36,6 +40,14 @@ def test_json_bounds_table(capsys):
     document = json.loads(capsys.readouterr().out)
     rows = document["targets"][0]["bounds"]
     assert rows and {"element", "port", "dir", "bounds"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_BLOCKS))
+def test_committed_report_matches_the_cli(name, capsys):
+    """``results/analyze/<block>.json`` is ``usfq-analyze <block> --json``,
+    byte for byte."""
+    assert main([name, "--json"]) == 0
+    assert capsys.readouterr().out == (_COMMITTED / f"{name}.json").read_text()
 
 
 def test_output_file(tmp_path, capsys):

@@ -124,3 +124,25 @@ def test_batch_validates_shapes():
     empty = dpu.run_counts_batch([], [])
     assert isinstance(empty, np.ndarray)
     assert empty.shape == (0,)
+
+
+def test_batch_executor_reports_to_capture_stats():
+    """The batch kernel's work reaches ``capture_stats()`` exactly as the
+    same rows run through per-row sealed calls do (queue depth aside)."""
+    from repro.pulsesim import capture_stats
+
+    epoch = EpochSpec(bits=5, slot_fs=40_000)
+    dpu = DotProductUnit(epoch, length=8, bipolar=True)
+    rng = random.Random(48)
+    a_rows = _random_rows(rng, epoch, dpu.length, BATCH_CROSSOVER_LANES)
+    b_rows = _random_rows(rng, epoch, dpu.length, BATCH_CROSSOVER_LANES)
+    with capture_stats() as batch:
+        counts = dpu.run_counts_batch(a_rows, b_rows)
+    with capture_stats() as rows:
+        expected = [dpu.run_counts(a, b) for a, b in zip(a_rows, b_rows)]
+    assert counts.tolist() == expected
+    assert batch.events_processed == rows.events_processed > 0
+    assert batch.pulses_emitted == rows.pulses_emitted > 0
+    assert batch.end_time == rows.end_time > 0
+    assert batch.max_queue_depth == 0
+    assert batch.wall_s > 0.0

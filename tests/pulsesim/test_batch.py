@@ -301,6 +301,22 @@ class TestStats:
         sim.run()
         assert sim.pending_events == 0
 
+    def test_resumed_runs_reach_capture_stats_once(self):
+        from repro.pulsesim import capture_stats
+
+        circuit, entry, _tff, _probe = tff_circuit()
+        sim = BatchSimulator(circuit, batch=3)
+        sim.schedule_train(entry, "a", TRAIN)
+        with capture_stats() as total:
+            first = sim.run(until=1_500)
+            assert total.events_processed == first.events_total > 0
+            assert total.end_time == 1_500
+            final = sim.run()
+        assert total.events_processed == final.events_total
+        assert total.pulses_emitted == final.pulses_total
+        assert total.end_time == int(final.end_time.max())
+        assert total.max_queue_depth == 0
+
 
 @settings(max_examples=50, deadline=None)
 @given(netlists())

@@ -8,7 +8,7 @@ from repro.cells import Dff, Jtl, Merger, Splitter, Tff
 from repro.core.dpu import build_dpu
 from repro.errors import NetlistError
 from repro.lint.blocks import SHIPPED_BLOCKS, build_shipped_block
-from repro.pulsesim import Circuit, PulseRecorder, Simulator, WaveformProbe
+from repro.pulsesim import Circuit, Simulator, WaveformProbe
 from repro.pulsesim.export import (
     cell_census,
     default_cell_registry,

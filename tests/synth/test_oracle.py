@@ -1,6 +1,6 @@
 """The synth-differential oracle: registration, teeth, and corpus replay."""
 
-from repro.synth import compile_spec, random_spec
+from repro.synth import compile_spec
 from repro.verify.corpus import corpus_entry, replay_entry
 from repro.verify.generator import example_rng, generate_spec, profile
 from repro.verify.oracles import ORACLES, oracle_synth_differential, run_oracle
@@ -40,8 +40,6 @@ def test_dataflow_spec_is_derived_from_the_netlist_spec_key():
 def test_oracle_has_teeth_against_a_decode_defect(monkeypatch):
     # Corrupt the compiled program's expected levels: the oracle must
     # notice the simulation no longer matches the reference evaluation.
-    import repro.verify.oracles as oracles_module
-
     real_compile = compile_spec
 
     def sabotaged(spec, **kwargs):
