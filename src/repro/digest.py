@@ -8,8 +8,9 @@ the result (so any source edit invalidates everything automatically) mixed
 with a canonical rendering of the *inputs* — so the machinery lives here,
 dependency-free, importable from anywhere in the tree.
 
-:func:`source_digest` hashes every Python file under ``src/repro`` (it
-moved here from ``repro.runner.cache``, which re-exports it unchanged).
+:func:`source_digest` hashes every Python and C source file under
+``src/repro`` (it moved here from ``repro.runner.cache``, which re-exports
+it unchanged); the C source is the sealed kernel's native loop.
 :func:`canonical_json` is the one JSON rendering used for cache keys and
 for response bodies that must be byte-identical across runs: sorted keys,
 no whitespace, explicit float repr via the stdlib encoder.
@@ -25,13 +26,15 @@ from typing import Any, Optional
 
 
 def source_digest(root: Optional[Path] = None) -> str:
-    """Hash every ``*.py`` file under the ``repro`` package (or ``root``)."""
+    """Hash every ``*.py`` and ``*.c`` file under the ``repro`` package
+    (or ``root``)."""
     if root is None:
         import repro
 
         root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    sources = [*root.rglob("*.py"), *root.rglob("*.c")]
+    for path in sorted(sources):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

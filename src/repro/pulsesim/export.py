@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numbers
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Container, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.errors import NetlistError, ReproError
 from repro.pulsesim.element import Element
@@ -146,22 +146,31 @@ def default_cell_registry() -> Dict[str, Type[Element]]:
     return {cls.__name__: cls for cls in classes}
 
 
-def _split_endpoint(reference: str, names: Dict[str, Element]) -> tuple:
-    """Split an exported ``"cell.port"`` reference into (element, port).
+def split_endpoint(
+    reference: str, names: Container[str]
+) -> Optional[Tuple[str, str]]:
+    """Split a ``"cell.port"`` reference into ``(cell name, port)``.
 
-    Cell names may themselves contain dots, so try every split from the
-    right until the prefix names a known cell.
+    Cell names may themselves contain dots, so the rightmost dot whose
+    prefix is in ``names`` splits it: the longest known cell name wins.
+    None when no prefix names a cell.
     """
-    index = len(reference)
-    while True:
+    index = reference.rfind(".")
+    while index >= 0:
+        if reference[:index] in names:
+            return reference[:index], reference[index + 1:]
         index = reference.rfind(".", 0, index)
-        if index < 0:
-            raise NetlistError(
-                f"wire endpoint {reference!r} does not name a known cell"
-            )
-        name, port = reference[:index], reference[index + 1:]
-        if name in names:
-            return names[name], port
+    return None
+
+
+def _element_port(reference: str, names: Dict[str, Element]) -> tuple:
+    """``(element, port)`` of an exported endpoint of a circuit being built."""
+    split = split_endpoint(reference, names)
+    if split is None:
+        raise NetlistError(
+            f"wire endpoint {reference!r} does not name a known cell"
+        )
+    return names[split[0]], split[1]
 
 
 def _check_delay(value, where: str) -> None:
@@ -250,8 +259,8 @@ def import_netlist(
             circuit.add(factory(cell["name"], **params))
     for index, wire in enumerate(wires):
         with _entry(f"wires[{index}]"):
-            source, source_port = _split_endpoint(wire["from"], circuit._names)
-            sink, sink_port = _split_endpoint(wire["to"], circuit._names)
+            source, source_port = _element_port(wire["from"], circuit._names)
+            sink, sink_port = _element_port(wire["to"], circuit._names)
             _check_delay(wire["delay_fs"], f"wire {wire['from']} -> {wire['to']}")
             circuit.connect(source, source_port, sink, sink_port,
                             delay=wire["delay_fs"])
@@ -261,7 +270,7 @@ def import_netlist(
     }
     for index, probe in enumerate(probes):
         with _entry(f"probes[{index}]"):
-            element, port = _split_endpoint(probe["port"], circuit._names)
+            element, port = _element_port(probe["port"], circuit._names)
             try:
                 factory = probe_factories[probe["type"]]
             except KeyError:

@@ -44,7 +44,17 @@ once per netlist:
   stays far below 2**48) while replacing tuple comparisons with single
   machine-int comparisons.
 
-* :class:`SealedSimulator` replaces the single binary heap with a
+* :class:`SealedSimulator` runs those programs on a *native loop*:
+  ``_sealed.c``, a C interpreter of the same opcode lists over an event
+  heap it owns, which :mod:`repro.pulsesim.native` compiles with the
+  interpreter's own compiler and headers the first time a sealed
+  simulator is made, and caches under ``__pycache__/``.  A stimulus
+  train goes onto that heap as one cursor.  Where the build fails (no
+  compiler, no headers, an unwritable directory) the Python loop
+  (:meth:`SealedSimulator._drain`) runs instead; both give the same
+  results, and tests pick one by patching :data:`_native`.
+
+* The Python loop replaces the single binary heap with a
   bucket/calendar queue keyed by the exact integer femtosecond timestamp:
   a dict of per-time buckets plus a small heap of *distinct* pending
   times.  A lone pending event at a time is stored as the bare entry (no
@@ -57,7 +67,10 @@ once per netlist:
   (every timestamp distinct) the structure degrades to a plain heap of
   times, never worse than a small constant factor off the reference.
   ``schedule_train`` resolves the port's program and packed priority once
-  and batch-inserts the whole stimulus train.
+  and batch-inserts the whole stimulus train.  Single pulses scheduled
+  from Python (``schedule_input``, ``emit``, generic cells' emissions)
+  always land in this bucket queue; the native loop drains it into its
+  heap when a run starts and after every generic-call opcode.
 
 Because compilation snapshots cell timing (``delay`` and guard bounds such
 as ``dead_time``) and port priorities, those must not be mutated after a
@@ -66,11 +79,15 @@ circuit is compiled; in this codebase they are constructor-set constants.
 The sealed kernel is *semantically identical* to the reference loop: the
 same ``(time, priority, sequence)`` total order, the same stats, and
 byte-identical experiment output (locked by the differential property test
-in ``tests/pulsesim/test_kernel_differential.py``).  One deliberate
-divergence: on a causality violation the reference kernel has already
-popped the offending event when it raises, while the sealed kernel raises
-before popping, so the event stays queued; the error and all counters are
-identical.
+in ``tests/pulsesim/test_kernel_differential.py``, which runs both
+loops).  Two deliberate divergences: on a causality violation the
+reference kernel has already popped the offending event when it raises,
+while the sealed kernel raises before popping, so the event stays queued;
+the error and all counters are identical.  And the native loop holds
+times, delays and packed keys as 64-bit integers: one outside that range
+(say a wire delay of 2**70 fs, which ``import_netlist`` accepts) raises
+:class:`~repro.errors.SimulationError`, where the Python loop and the
+reference kernel carry Python's big ints.
 
 Kernel selection::
 
@@ -85,12 +102,14 @@ worker processes inherit.
 from __future__ import annotations
 
 import os
+import threading
 import weakref
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.pulsesim import native
 from repro.pulsesim.element import Element, TableCell
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.simulator import (
@@ -124,6 +143,25 @@ _OP_MULTI = 4  # [4, emissions]                      one state, any other fanout
 _OP_STORE = 5  # [5, cell, state]                    no output, state <- constant
 _OP_TABLE = 6  # [6, cell, ((next_state, emissions), ...)]  per-state rows
 _OP_CALL = 7  # [7, handle, port]                    generic cell
+
+
+#: The native loop module (``_sealed.c``), or None for the Python loop.
+#: Loaded by :func:`_native_loop` when the first sealed simulator is made;
+#: tests patch it to pick a loop.
+_UNLOADED = object()
+_native: Any = _UNLOADED
+_native_lock = threading.Lock()
+
+
+def _native_loop() -> Any:
+    """The native loop module, built at most once per process on first
+    use; None if it cannot be."""
+    global _native
+    if _native is _UNLOADED:
+        with _native_lock:
+            if _native is _UNLOADED:
+                _native = native.try_load()
+    return _native
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
@@ -403,6 +441,10 @@ class SealedSimulator(Simulator):
         self._heap_dirty = False
         self.now = 0
         self.stats = SimulationStats()
+        #: The native loop's event heap (``_sealed.Queue``), or None when
+        #: this simulator runs the Python loop (:meth:`_drain`).
+        loop = _native_loop()
+        self._queue = None if loop is None else loop.Queue()
 
     # -- compilation ---------------------------------------------------------
     def _tables(self) -> CompiledTables:
@@ -448,6 +490,13 @@ class SealedSimulator(Simulator):
 
     def schedule_train(self, element: Element, port: str, times) -> None:
         """Batch-inject a stimulus train: program resolved once."""
+        if self._queue is not None:
+            # The native loop takes the train onto its heap as one cursor.
+            if type(times) is not list:
+                times = list(times)
+            if times:
+                self._queue.schedule(self, times, *self._inport(element, port))
+            return
         buckets = self._buckets
         theap = self._times
         seq = self._sequence
@@ -518,22 +567,56 @@ class SealedSimulator(Simulator):
 
     # -- execution -----------------------------------------------------------
     def _run(self, until: Optional[int] = None) -> SimulationStats:
-        """Drain the bucket queue; same contract as the reference ``run``.
+        """Run the queue; same contract as the reference ``run``.
 
         (``run`` itself lives on the base class: a one-attribute-check
-        dispatcher that calls this hot loop directly when no trace session
-        is installed.)  The loop keeps every counter in locals and
-        interprets the compiled opcode programs inline; only generic-call
-        opcodes leave the frame.  The emission block is deliberately
-        duplicated per opcode — hoisting it into a helper would put a
-        Python call back on the hot path.
+        dispatcher that calls this method directly when no trace session
+        is installed.)  The events run on the native loop when it built,
+        else on :meth:`_drain`; both write the counters back to ``self``
+        and ``self.stats``, and this method does the horizon and collector
+        bookkeeping for either.
         """
         circuit = self.circuit
         if circuit._compiled is None or (
             circuit._compiled.version != circuit._version
         ):
             compile_circuit(circuit)
-        mono = circuit._compiled.monotonic
+        stats = self.stats
+        stats.pulses_emitted = self._pulses
+        processed_before = stats.events_processed
+        pulses_before = self._pulses
+        wall_start = perf_counter()
+        try:
+            if self._queue is None:
+                self._drain(until)
+            else:
+                self._queue.run(self, until)
+        finally:
+            wall_delta = perf_counter() - wall_start
+            stats.wall_s += wall_delta
+        now = self.now
+        end = now if until is None else (now if now > until else until)
+        stats.end_time = max(stats.end_time, end)
+        delta = SimulationStats(
+            stats.events_processed - processed_before,
+            self._pulses - pulses_before,
+            stats.end_time, stats.max_queue_depth, wall_delta,
+        )
+        for collector in _collectors.get():
+            collector.merge(delta)
+        return stats
+
+    def _drain(self, until: Optional[int]) -> None:
+        """The Python loop: drain the bucket queue up to ``until``.
+
+        It keeps every counter in locals, interprets the compiled opcode
+        programs inline, and writes the counters back on every exit; only
+        generic-call opcodes leave the frame.  The emission block is
+        deliberately duplicated per opcode — hoisting it into a helper
+        would put a Python call back on the hot path.  ``_sealed.c`` is
+        the same loop in C.
+        """
+        mono = self.circuit._compiled.monotonic
         if mono:
             # Contended buckets are plain-appended below (the drain sorts
             # them anyway), which breaks the heap invariant for any bucket
@@ -545,16 +628,12 @@ class SealedSimulator(Simulator):
                     heapify(leftover)
             self._heap_dirty = False
         stats = self.stats
-        stats.pulses_emitted = self._pulses
-        processed_before = stats.events_processed
-        pulses_before = self._pulses
-        events = processed_before
+        events = stats.events_processed
         budget = events + self.max_events
         now = self.now
         seq = self._sequence
         pulses = self._pulses
         maxq = stats.max_queue_depth
-        wall_start = perf_counter()
         buckets = self._buckets
         times = self._times
         bget = buckets.get
@@ -818,24 +897,20 @@ class SealedSimulator(Simulator):
             stats.events_processed = events
             stats.pulses_emitted = pulses
             stats.max_queue_depth = maxq
-            wall_delta = perf_counter() - wall_start
-            stats.wall_s += wall_delta
-        end = now if until is None else (now if now > until else until)
-        stats.end_time = max(stats.end_time, end)
-        delta = SimulationStats(
-            events - processed_before, pulses - pulses_before,
-            stats.end_time, maxq, wall_delta,
-        )
-        for collector in _collectors.get():
-            collector.merge(delta)
-        return stats
 
     def _next_event_time(self) -> Optional[int]:
-        """Timestamp of the earliest pending bucket, or None when idle."""
-        return self._times[0] if self._times else None
+        """Timestamp of the earliest pending event, or None when idle."""
+        first = self._times[0] if self._times else None
+        if self._queue is not None:
+            queued = self._queue.peek()
+            if first is None or (queued is not None and queued < first):
+                return queued
+        return first
 
     def reset(self) -> None:
         """Clear queue, clock, stats, and all circuit state."""
+        if self._queue is not None:
+            self._queue.clear()
         self._buckets.clear()
         self._times.clear()
         self._sequence = 0
@@ -847,7 +922,7 @@ class SealedSimulator(Simulator):
 
     @property
     def pending_events(self) -> int:
-        return sum(
+        return (0 if self._queue is None else len(self._queue)) + sum(
             len(bucket) if type(bucket) is list else 1
             for bucket in self._buckets.values()
         )

@@ -54,7 +54,7 @@ from typing import (
 from repro.errors import ConfigurationError, SimulationError
 from repro.parallel import ProcessActor, resolve_jobs
 from repro.pulsesim.element import CellRole
-from repro.pulsesim.export import import_netlist
+from repro.pulsesim.export import import_netlist, split_endpoint
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.probe import PulseRecorder
 from repro.pulsesim.simulator import (
@@ -77,21 +77,6 @@ BOUNDARY_PREFIX = "__shard_boundary__:"
 
 def _freeze(value: Any) -> Any:
     return tuple(sorted(value.items())) if isinstance(value, dict) else value
-
-
-def _split_endpoint(endpoint: str, names: AbstractSet[str]) -> Tuple[str, str]:
-    """Split ``"cell.port"`` on the rightmost dot that names a known cell
-    (cell names may themselves contain dots)."""
-    index = len(endpoint)
-    while True:
-        index = endpoint.rfind(".", 0, index)
-        if index < 0:
-            raise ConfigurationError(
-                f"endpoint {endpoint!r} does not name a known cell"
-            )
-        name, port = endpoint[:index], endpoint[index + 1:]
-        if name in names:
-            return name, port
 
 
 class _ShardHost:
@@ -255,7 +240,12 @@ class ShardSimulator:
         for cut in plan.cuts:
             self._owner[cut.link] = cut.source_shard
             self._cut_by_link[cut.link] = cut
-            self._sink_of[cut.link] = _split_endpoint(cut.sink, cell_names)
+            sink = split_endpoint(cut.sink, cell_names)
+            if sink is None:
+                raise ConfigurationError(
+                    f"endpoint {cut.sink!r} does not name a known cell"
+                )
+            self._sink_of[cut.link] = sink
             boundary[cut.source_shard].append(cut.link)
         self._stimulus: List[List[Tuple[str, str, List[int]]]] = [
             [] for _ in range(plan.num_shards)

@@ -40,7 +40,11 @@ from typing import (
 from repro.errors import ConfigurationError
 from repro.models import technology as tech
 from repro.pulsesim.element import Element
-from repro.pulsesim.export import import_netlist, netlist_description
+from repro.pulsesim.export import (
+    import_netlist,
+    netlist_description,
+    split_endpoint,
+)
 from repro.pulsesim.netlist import Circuit, Wire
 
 #: Stand-in weight for wires whose static pulse bound is unbounded.
@@ -499,13 +503,12 @@ def shard_description(
     mine = {name for name, owner in owners.items() if owner == shard}
 
     def cell_name(endpoint: str) -> str:
-        known = sorted(owners, key=len, reverse=True)
-        for name in known:
-            if endpoint.startswith(name + "."):
-                return name
-        raise ConfigurationError(
-            f"endpoint {endpoint!r} does not name a planned cell"
-        )
+        split = split_endpoint(endpoint, owners)
+        if split is None:
+            raise ConfigurationError(
+                f"endpoint {endpoint!r} does not name a planned cell"
+            )
+        return split[0]
 
     cells = [c for c in noc_description["cells"] if c["name"] in mine]
     wires = [

@@ -14,6 +14,7 @@ from repro.pulsesim.export import (
     default_cell_registry,
     import_netlist,
     netlist_description,
+    split_endpoint,
     to_dot,
 )
 
@@ -22,6 +23,15 @@ def _small_dpu():
     circuit = Circuit("small_dpu")
     build_dpu(circuit, "dpu", 4)
     return circuit
+
+
+def test_split_endpoint_takes_the_longest_known_cell_name():
+    names = {"a", "a.b"}
+    assert split_endpoint("a.b.c", names) == ("a.b", "c")
+    assert split_endpoint("a.c", names) == ("a", "c")
+    assert split_endpoint("a.b", names) == ("a", "b")
+    assert split_endpoint("z.q", names) is None
+    assert split_endpoint("nodot", names) is None
 
 
 def test_description_is_json_serialisable():

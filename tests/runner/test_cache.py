@@ -76,6 +76,17 @@ def test_source_digest_tracks_new_files(tmp_path):
     assert source_digest(tree) != first
 
 
+def test_source_digest_tracks_c_sources(tmp_path):
+    """An edit to the native loop's C source invalidates cached results."""
+    tree = tmp_path / "pkg"
+    tree.mkdir()
+    (tree / "a.py").write_text("x = 1\n")
+    (tree / "_loop.c").write_text("int x = 1;\n")
+    first = source_digest(tree)
+    (tree / "_loop.c").write_text("int x = 2;\n")
+    assert source_digest(tree) != first
+
+
 def test_default_digest_covers_the_repro_package():
     digest = source_digest()
     assert len(digest) == 64

@@ -156,3 +156,23 @@ def test_shard_descriptions_tile_the_noc_circuit():
     # Exactly the cut-crossing wires are absent from the union of pieces
     # (each cut contributes its link's far-side wire).
     assert wires == len(description["wires"]) - len(plan.cuts)
+
+
+def test_shard_description_resolves_the_longest_planned_cell_name():
+    """With cells ``a`` and ``a.b`` both planned, ``a.b.c`` names port ``c``
+    of ``a.b``, so its wire and probe follow ``a.b`` to shard 1."""
+    plan = ShardPlan("dotted", 2, {"a": 0, "a.b": 1}, [])
+    description = {
+        "name": "dotted",
+        "cells": [{"name": "a", "jj_count": 2}, {"name": "a.b", "jj_count": 2}],
+        "wires": [{"from": "a.b.c", "to": "a.b.d", "delay_fs": 0}],
+        "probes": [{"port": "a.b.c", "type": "PulseRecorder", "label": ""}],
+    }
+    assert shard_description(description, plan, 0)["wires"] == []
+    piece = shard_description(description, plan, 1)
+    assert piece["wires"] == description["wires"]
+    assert piece["probes"] == description["probes"]
+    with pytest.raises(ConfigurationError, match="planned cell"):
+        shard_description(
+            dict(description, wires=[{"from": "z.q", "to": "a.b.d"}]), plan, 0
+        )
