@@ -4,17 +4,17 @@ The batch kernel runs thousands of independent epochs of one circuit as
 lanes of a single NumPy structure-of-arrays event loop.  The first
 benchmark tracks that loop at 1024 lanes on the stream fabric of
 ``test_microbench_kernels.py``.  The rest time the serving DPU (bits=5,
-L=8, bipolar) on both executors at 1 lane and at 64 lanes, and assert
-in-test which one wins on each side of
-``repro.core.dpu.BATCH_CROSSOVER_LANES``.
+L=8, bipolar) as the server runs a group: one sealed ``run_counts`` call
+per row, at 1 row and at 64 rows.
 """
 
-from time import perf_counter
+import random
 
 import numpy as np
 import pytest
 
-from dpu_crossover import SEED, operand_rows, run_batch, run_sealed, serve_dpu
+from repro.core.dpu import DotProductUnit
+from repro.encoding.epoch import EpochSpec
 from repro.pulsesim import BatchSimulator
 from repro.pulsesim.schedule import uniform_stream_times_batch
 from test_microbench_kernels import _build_stream_fabric
@@ -51,56 +51,40 @@ def test_batch_event_mode_stays_vectorized(benchmark):
     assert stats.events_total > 100_000
 
 
-# -- the serving DPU on both executors -----------------------------------------
+# -- the serving DPU ------------------------------------------------------------
 _DPU_LANES = (1, 64)
+_SEED = 20220711
 
 
-def _bench_dpu(benchmark, lanes, run):
-    unit = serve_dpu()
-    a_rows, b_rows = operand_rows(unit, lanes, SEED)
-    expected = run_sealed(unit, a_rows, b_rows)
-    run(unit, a_rows, b_rows)  # untimed: compiles the batch program
-    assert benchmark(run, unit, a_rows, b_rows) == expected
-    benchmark.extra_info["lanes"] = lanes
+def _serve_dpu() -> DotProductUnit:
+    """The DPU config ``perfbench`` serves (``dpu.dot`` request config)."""
+    return DotProductUnit(EpochSpec(bits=5, slot_fs=40_000), 8, bipolar=True)
 
 
-@pytest.mark.parametrize("lanes", _DPU_LANES)
-def test_dpu_serve_config_batch_dispatch(benchmark, lanes):
-    """All rows as lanes of one masked-SoA batch dispatch."""
-    _bench_dpu(benchmark, lanes, run_batch)
+def _operand_rows(unit, lanes, seed):
+    """``lanes`` seeded random operand rows over the unit's full domain."""
+    rng = random.Random(seed)
+    n_max = unit.epoch.n_max
+    a_rows = [
+        [rng.randint(0, n_max) for _ in range(unit.length)]
+        for _ in range(lanes)
+    ]
+    b_rows = [
+        [rng.randint(0, n_max) for _ in range(unit.length)]
+        for _ in range(lanes)
+    ]
+    return a_rows, b_rows
+
+
+def _run_sealed(unit, a_rows, b_rows):
+    return [unit.run_counts(a, b) for a, b in zip(a_rows, b_rows)]
 
 
 @pytest.mark.parametrize("lanes", _DPU_LANES)
 def test_dpu_serve_config_sealed_runs(benchmark, lanes):
-    """The same rows as sequential sealed ``run_counts`` calls."""
-    _bench_dpu(benchmark, lanes, run_sealed)
-
-
-def _best_of_3(run, *args):
-    best = float("inf")
-    for _ in range(3):
-        start = perf_counter()
-        run(*args)
-        best = min(best, perf_counter() - start)
-    return best
-
-
-def test_dpu_executor_wins_on_each_side_of_the_crossover():
-    """Sealed beats batch at 1 lane; batch beats sealed at 64 lanes."""
-    unit = serve_dpu()
-    for lanes, winner in ((1, "sealed"), (64, "batch")):
-        a_rows, b_rows = operand_rows(unit, lanes, SEED)
-        run_batch(unit, a_rows, b_rows)  # compile outside the timings
-        best = {
-            "sealed": _best_of_3(run_sealed, unit, a_rows, b_rows),
-            "batch": _best_of_3(run_batch, unit, a_rows, b_rows),
-        }
-        print(
-            f"\nDPU {lanes} lane(s): sealed {best['sealed'] * 1e3:.1f} ms, "
-            f"batch {best['batch'] * 1e3:.1f} ms"
-        )
-        loser = "batch" if winner == "sealed" else "sealed"
-        assert best[winner] < best[loser], (
-            f"at {lanes} lane(s) {winner} took {best[winner] * 1e3:.1f} ms, "
-            f"{loser} {best[loser] * 1e3:.1f} ms"
-        )
+    """The rows as sequential sealed ``run_counts`` calls."""
+    unit = _serve_dpu()
+    a_rows, b_rows = _operand_rows(unit, lanes, _SEED)
+    expected = _run_sealed(unit, a_rows, b_rows)  # untimed warm-up
+    assert benchmark(_run_sealed, unit, a_rows, b_rows) == expected
+    benchmark.extra_info["lanes"] = lanes

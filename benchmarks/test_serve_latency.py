@@ -2,13 +2,9 @@
 
 At high concurrency a micro-batching server (``max_batch`` lanes per
 group) must not lose throughput to the *same server* with coalescing
-disabled (``max_batch=1``).  The solo server runs every request as a
-one-row group, which ``DotProductUnit.run_counts_batch`` sends to the
-sealed kernel, the fastest executor for a lone request, so the pair
-compares coalescing against the best per-request alternative.
-Coalesced groups of at least ``BATCH_CROSSOVER_LANES`` rows ride one
-``BatchSimulator`` dispatch; smaller ones still save a worker round
-trip per request.
+disabled (``max_batch=1``).  Both run every row of a group as one
+sealed ``run_counts`` call (``DotProductUnit.run_counts_batch``), so
+coalescing saves a worker round trip per request, not kernel work.
 
 Each benchmark boots a real HTTP server in-process with **one** worker
 process (both configs get the same single executor, so the ratio

@@ -20,34 +20,41 @@ Quickstart::
     epoch = EpochSpec(bits=6)
     mult = UnipolarMultiplier(epoch)
     print(mult.multiply(0.5, 0.75))  # pulse-level simulated, ~0.375
+
+Each re-exported name imports its module on first use
+(:mod:`repro.lazy`), so ``import repro`` loads nothing else.
 """
 
-from repro.core import (
-    Balancer,
-    BinaryFirFilter,
-    BipolarMultiplier,
-    CoefficientBank,
-    CountingNetwork,
-    DotProductUnit,
-    DpuModel,
-    MergerAdder,
-    PEArray,
-    PEModel,
-    ProcessingElement,
-    RlMemoryCell,
-    RlShiftRegister,
-    UnaryFirFilter,
-    UnipolarMultiplier,
+from repro.lazy import exports
+
+__getattr__, __dir__ = exports(
+    __name__,
+    {
+        "repro.core.adder": ("MergerAdder",),
+        "repro.core.balancer": ("Balancer",),
+        "repro.core.buffer": ("RlMemoryCell", "RlShiftRegister"),
+        "repro.core.counting": ("CountingNetwork",),
+        "repro.core.dpu": ("DotProductUnit", "DpuModel"),
+        "repro.core.fir": ("BinaryFirFilter", "UnaryFirFilter"),
+        "repro.core.membank": ("CoefficientBank",),
+        "repro.core.multiplier": ("BipolarMultiplier", "UnipolarMultiplier"),
+        "repro.core.pe": ("PEArray", "PEModel", "ProcessingElement"),
+        "repro.encoding.epoch": ("EpochSpec",),
+        "repro.encoding.pulsestream": ("PulseStreamCodec",),
+        "repro.encoding.racelogic": ("RaceLogicCodec",),
+        "repro.errors": (
+            "ConfigurationError",
+            "EncodingError",
+            "NetlistError",
+            "ReproError",
+            "SimulationError",
+        ),
+        "repro.pulsesim.block": ("Block",),
+        "repro.pulsesim.netlist": ("Circuit",),
+        "repro.pulsesim.probe": ("PulseRecorder",),
+        "repro.pulsesim.simulator": ("Simulator",),
+    },
 )
-from repro.encoding import EpochSpec, PulseStreamCodec, RaceLogicCodec
-from repro.errors import (
-    ConfigurationError,
-    EncodingError,
-    NetlistError,
-    ReproError,
-    SimulationError,
-)
-from repro.pulsesim import Block, Circuit, PulseRecorder, Simulator
 
 __version__ = "1.0.0"
 

@@ -7,43 +7,57 @@ cross-validate the two.  The accelerators compose the blocks:
 * :mod:`repro.core.pe` — processing element for CGRAs/spatial arrays,
 * :mod:`repro.core.dpu` — dot-product unit,
 * :mod:`repro.core.fir` — programmable FIR filter accelerator.
+
+Each re-exported name imports its module on first use
+(:mod:`repro.lazy`).
 """
 
-from repro.core.adder import MergerAdder, merger_tree_output_count, staggered_offsets
-from repro.core.balancer import Balancer, build_structural_balancer
-from repro.core.counting import (
-    CountingNetwork,
-    counting_network_output_count,
-    build_counting_network,
-)
-from repro.core.multiplier import (
-    BipolarMultiplier,
-    UnipolarMultiplier,
-    bipolar_product_count,
-    build_bipolar_multiplier,
-    build_unipolar_multiplier,
-    unipolar_product_count,
-)
-from repro.core.pnm import BurstPnm, build_tff2_pnm, pnm_tick_pattern
-from repro.core.membank import CoefficientBank
-from repro.core.buffer import (
-    PulseIntegrator,
-    RlBuffer,
-    RlMemoryCell,
-    RlShiftRegister,
-)
-from repro.core.pe import PEModel, ProcessingElement, PEArray
-from repro.core.dpu import DotProductUnit, DpuModel
-from repro.core.fir import UnaryFirFilter, BinaryFirFilter
-from repro.core.fir_structural import StructuralUnaryFir
-from repro.core.binary_adder import RippleCarryAdder
-from repro.core.binary_multiplier import ShiftAddMultiplier
-from repro.core.racelogic_ops import (
-    RaceLogicAlu,
-    add_constant,
-    inhibit_slots,
-    max_slots,
-    min_slots,
+from repro.lazy import exports
+
+__getattr__, __dir__ = exports(
+    __name__,
+    {
+        "repro.core.adder": (
+            "MergerAdder",
+            "merger_tree_output_count",
+            "staggered_offsets",
+        ),
+        "repro.core.balancer": ("Balancer", "build_structural_balancer"),
+        "repro.core.binary_adder": ("RippleCarryAdder",),
+        "repro.core.binary_multiplier": ("ShiftAddMultiplier",),
+        "repro.core.buffer": (
+            "PulseIntegrator",
+            "RlBuffer",
+            "RlMemoryCell",
+            "RlShiftRegister",
+        ),
+        "repro.core.counting": (
+            "CountingNetwork",
+            "build_counting_network",
+            "counting_network_output_count",
+        ),
+        "repro.core.dpu": ("DotProductUnit", "DpuModel"),
+        "repro.core.fir": ("BinaryFirFilter", "UnaryFirFilter"),
+        "repro.core.fir_structural": ("StructuralUnaryFir",),
+        "repro.core.membank": ("CoefficientBank",),
+        "repro.core.multiplier": (
+            "BipolarMultiplier",
+            "UnipolarMultiplier",
+            "bipolar_product_count",
+            "build_bipolar_multiplier",
+            "build_unipolar_multiplier",
+            "unipolar_product_count",
+        ),
+        "repro.core.pe": ("PEArray", "PEModel", "ProcessingElement"),
+        "repro.core.pnm": ("BurstPnm", "build_tff2_pnm", "pnm_tick_pattern"),
+        "repro.core.racelogic_ops": (
+            "RaceLogicAlu",
+            "add_constant",
+            "inhibit_slots",
+            "max_slots",
+            "min_slots",
+        ),
+    },
 )
 
 __all__ = [

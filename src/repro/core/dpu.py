@@ -14,9 +14,7 @@ semantics), vectorised for the FIR and the evaluation sweeps.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.counting import (
     build_counting_network,
@@ -38,14 +36,8 @@ from repro.pulsesim.block import Block
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.simulator import Simulator
 
-#: Smallest group that :meth:`DotProductUnit.run_counts_batch` runs on the
-#: masked-SoA batch kernel; smaller groups run per-row sealed
-#: :meth:`~DotProductUnit.run_counts` calls.  The DPU is stateful, so
-#: batch lanes take the event loop, whose fixed per-dispatch cost only
-#: amortises over many lanes.  Taken from ``results/dpu-crossover.json``
-#: (``benchmarks/dpu_crossover.py`` at the serving config: bits=5, L=8,
-#: bipolar), where batch first beats sealed and stays ahead.
-BATCH_CROSSOVER_LANES = 48
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_length(length: int) -> int:
@@ -178,18 +170,14 @@ class DotProductUnit:
         self,
         a_slot_rows: Sequence[Sequence[int]],
         b_count_rows: Sequence[Sequence[int]],
-    ) -> np.ndarray:
-        """Many independent single-epoch dot products; ``(n_rows,)`` counts.
+    ) -> List[int]:
+        """Many independent single-epoch dot products; one count per row.
 
         Row ``i`` carries the operands :meth:`run_counts` would take for
-        request ``i``.  Groups of at least :data:`BATCH_CROSSOVER_LANES`
-        rows execute as lanes of one
-        :class:`~repro.pulsesim.batch.BatchSimulator` dispatch (compiled
-        once per circuit); smaller groups run per-row sealed
-        :meth:`run_counts` calls, which are faster there.  Both executors
-        are bit-identical, so the choice never shows in the counts.  This
-        is the execution shape the serving layer's micro-batcher coalesces
-        concurrent requests into.
+        request ``i``, and runs as that call.  One sealed run per row, on
+        the native loop, beats lanes of one batch dispatch at every group
+        size.  This is the execution shape the serving layer's
+        micro-batcher coalesces concurrent requests into.
         """
         rows = len(a_slot_rows)
         if rows != len(b_count_rows):
@@ -204,62 +192,10 @@ class DotProductUnit:
                     f"row {row}: expected {self.length} operands per side, "
                     f"got {len(a_slots)}/{len(b_counts)}"
                 )
-        if rows < BATCH_CROSSOVER_LANES:
-            return np.array(
-                [
-                    self.run_counts(a_slots, b_counts)
-                    for a_slots, b_counts in zip(a_slot_rows, b_count_rows)
-                ],
-                dtype=np.int64,
-            )
-        return self._run_counts_batch_kernel(a_slot_rows, b_count_rows)
-
-    def _run_counts_batch_kernel(
-        self,
-        a_slot_rows: Sequence[Sequence[int]],
-        b_count_rows: Sequence[Sequence[int]],
-    ) -> np.ndarray:
-        """All (already validated) rows as lanes of one batch dispatch."""
-        from repro.pulsesim.batch import BatchSimulator
-
-        rows = len(a_slot_rows)
-        sim = BatchSimulator(self.circuit, batch=rows)
-        n_max = self.epoch.n_max
-        refclk = (
-            [t + SETUP_FS for t in self.streams.times_for_count(n_max)]
-            if self.bipolar
-            else None
-        )
-        for lane in range(self.length):
-            element, port = self.block.input(f"epoch{lane}")
-            sim.schedule_train(element, port, [0])
-            element, port = self.block.input(f"b{lane}")
-            sim.schedule_lane_trains(
-                element,
-                port,
-                [
-                    [
-                        t + SETUP_FS
-                        for t in self.streams.times_for_count(row[lane])
-                    ]
-                    for row in b_count_rows
-                ],
-            )
-            if refclk is not None:
-                element, port = self.block.input(f"refclk{lane}")
-                sim.schedule_train(element, port, refclk)
-            a_times = []
-            a_lanes = []
-            for row_index, row in enumerate(a_slot_rows):
-                if row[lane] < n_max:
-                    a_times.append(SETUP_FS + self.epoch.slot_time(row[lane]))
-                    a_lanes.append(row_index)
-            if a_times:
-                element, port = self.block.input(f"a{lane}")
-                sim.schedule_flat(element, port, a_times, a_lanes)
-        sim.run()
-        y_element, y_port = self.block.output("y")
-        return sim.port_counts(y_element, y_port)
+        return [
+            self.run_counts(a_slots, b_counts)
+            for a_slots, b_counts in zip(a_slot_rows, b_count_rows)
+        ]
 
     def run_epochs(
         self,
@@ -364,6 +300,8 @@ class DpuModel:
         self, a_slots: np.ndarray, b_counts: np.ndarray
     ) -> np.ndarray:
         """Output counts for a batch: arrays shaped (n_samples, L)."""
+        import numpy as np
+
         a_slots = np.asarray(a_slots, dtype=np.int64)
         b_counts = np.asarray(b_counts, dtype=np.int64)
         if a_slots.shape != b_counts.shape or a_slots.shape[-1] != self.length:

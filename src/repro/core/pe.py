@@ -17,9 +17,7 @@ of the 98-99 % area savings vs an 8-bit binary PE.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.core.balancer import BALANCER_JJ, Balancer
 from repro.core.buffer import INTEGRATOR_STAGE_JJ, PulseIntegrator
@@ -37,6 +35,9 @@ from repro.models import technology as tech
 from repro.pulsesim.block import Block
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.simulator import Simulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The paper's PE area anchor (section 5.2): "The number of JJs for the
 #: U-SFQ PE is 126 and does not increase with the number of bits."
@@ -200,6 +201,8 @@ class PEArray:
         output element is produced by one PE accumulating K halved products
         (results are scaled back by 2 and clipped to [0, 1]).
         """
+        import numpy as np
+
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -215,6 +218,8 @@ class PEArray:
 
     def conv2d(self, image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         """Valid-mode 2-D convolution, one PE per output pixel."""
+        import numpy as np
+
         image = np.asarray(image, dtype=float)
         kernel = np.asarray(kernel, dtype=float)
         if image.ndim != 2 or kernel.ndim != 2:

@@ -21,34 +21,50 @@ Typical usage::
     sim.schedule_input(ndro, "clk", 10_000)
     sim.run()
     assert probe.count() == 1
+
+Each re-exported name imports its module on first use
+(:mod:`repro.lazy`); NumPy loads only with the batch kernel or a
+batch stimulus helper.
 """
 
-from repro.pulsesim.batch import BatchProgram, BatchSimulator, BatchStats, compile_batch
-from repro.pulsesim.block import Block
-from repro.pulsesim.element import CellRole, Element, PortSpec
-from repro.pulsesim.faults import DropChannel, JitterChannel
-from repro.pulsesim.kernel import (
-    KERNELS,
-    SealedSimulator,
-    compile_circuit,
-    resolve_kernel,
-)
-from repro.pulsesim.netlist import Circuit, Wire
-from repro.pulsesim.probe import PulseRecorder, WaveformProbe
-from repro.pulsesim.schedule import (
-    burst_stream_times,
-    clock_times,
-    rl_pulse_time,
-    rl_pulse_times_batch,
-    uniform_stream_times,
-    uniform_stream_times_batch,
-)
-from repro.pulsesim.simulator import (
-    SimulationStats,
-    Simulator,
-    active_collectors,
-    capture_stats,
-    quiet_stats,
+from repro.lazy import exports
+
+__getattr__, __dir__ = exports(
+    __name__,
+    {
+        "repro.pulsesim.batch": (
+            "BatchProgram",
+            "BatchSimulator",
+            "BatchStats",
+            "compile_batch",
+        ),
+        "repro.pulsesim.block": ("Block",),
+        "repro.pulsesim.element": ("CellRole", "Element", "PortSpec"),
+        "repro.pulsesim.faults": ("DropChannel", "JitterChannel"),
+        "repro.pulsesim.kernel": (
+            "KERNELS",
+            "SealedSimulator",
+            "compile_circuit",
+            "resolve_kernel",
+        ),
+        "repro.pulsesim.netlist": ("Circuit", "Wire"),
+        "repro.pulsesim.probe": ("PulseRecorder", "WaveformProbe"),
+        "repro.pulsesim.schedule": (
+            "burst_stream_times",
+            "clock_times",
+            "rl_pulse_time",
+            "rl_pulse_times_batch",
+            "uniform_stream_times",
+            "uniform_stream_times_batch",
+        ),
+        "repro.pulsesim.simulator": (
+            "SimulationStats",
+            "Simulator",
+            "active_collectors",
+            "capture_stats",
+            "quiet_stats",
+        ),
+    },
 )
 
 __all__ = [

@@ -8,7 +8,9 @@ digest of the source, the compile command and ``EXT_SUFFIX``, so an edited
 source or another interpreter builds its own copy, and every later
 process just imports the cached one.  Each build writes a temporary file
 and renames it into place, so processes that build at the same moment
-(two shard workers on a cold cache) each end with a whole module.
+(two shard workers on a cold cache) each end with a whole module.  Once
+a new module is in place, the builds it supersedes (the same
+``EXT_SUFFIX``, another digest) are deleted.
 
 Any failure (no compiler, no ``Python.h``, an unwritable directory, a
 compile or import error) leaves :func:`try_load` returning None, and the
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -43,9 +46,13 @@ def compile_command() -> List[str]:
     return [*shlex.split(cc), *_FLAGS, f"-I{include}"]
 
 
+def _suffix() -> str:
+    return sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+
 def module_path(directory: Path = CACHE_DIR, source: Path = SOURCE) -> Path:
     """Where the module built from ``source`` lives in ``directory``."""
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    suffix = _suffix()
     digest = hashlib.sha256()
     for part in (source.read_bytes(), "\0".join(compile_command()).encode(),
                  suffix.encode()):
@@ -73,7 +80,23 @@ def build(directory: Path = CACHE_DIR, source: Path = SOURCE) -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+    _prune(target)
     return target
+
+
+def _prune(keep: Path) -> None:
+    """Delete the other builds beside ``keep`` made for this interpreter.
+
+    Only ``_sealed.<digest><EXT_SUFFIX>`` files go: a concurrent build's
+    temporary file and another interpreter's module stay.
+    """
+    built = re.compile(r"_sealed\.[0-9a-f]{16}" + re.escape(_suffix()))
+    for path in keep.parent.iterdir():
+        if path != keep and built.fullmatch(path.name):
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 def import_path(path: Path) -> ModuleType:

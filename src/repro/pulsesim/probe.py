@@ -9,9 +9,10 @@ the recorded pulses as an analog-looking trace for the waveform figures
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PulseRecorder:
@@ -78,6 +79,8 @@ class WaveformProbe(PulseRecorder):
         self, t_start: int, t_end: int, n_samples: int = 2_000
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(time_fs, voltage_mv)`` arrays over ``[t_start, t_end]``."""
+        import numpy as np
+
         time = np.linspace(t_start, t_end, n_samples)
         voltage = np.zeros_like(time)
         sigma = self.pulse_width_fs / 2.355  # FWHM -> sigma

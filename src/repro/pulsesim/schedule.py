@@ -11,11 +11,12 @@ quantised products the functional models predict.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import EncodingError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def uniform_stream_times(
@@ -80,6 +81,8 @@ def uniform_stream_times_batch(
     Monte-Carlo batch with few distinct operand values costs almost
     nothing to build.
     """
+    import numpy as np
+
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1:
         raise EncodingError(f"counts must be one-dimensional, got {counts.shape}")
@@ -116,6 +119,8 @@ def rl_pulse_times_batch(
     The ``(batch,)`` result feeds :meth:`BatchSimulator.schedule_input`
     (array form: one pulse per lane).
     """
+    import numpy as np
+
     slots = np.asarray(slots, dtype=np.int64)
     if slots.size and slots.min() < 0:
         raise EncodingError(

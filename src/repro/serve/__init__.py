@@ -7,9 +7,8 @@ restatement of that claim.  A long-running asyncio service accepts
 dot-product / FIR / PE requests over HTTP/JSON, and a **micro-batching
 queue** coalesces concurrent requests into one
 :meth:`repro.core.dpu.DotProductUnit.run_counts_batch` group, which runs
-on the executor measured fastest for its size: per-row sealed runs for
-small groups, lanes of one :class:`repro.pulsesim.batch.BatchSimulator`
-dispatch from ``repro.core.dpu.BATCH_CROSSOVER_LANES`` lanes on.
+row by row on the sealed kernel's native loop, the executor measured
+fastest at every group size.
 
 Layers (each importable and testable without the one above):
 

@@ -8,10 +8,9 @@ never re-compiling on the hot path.
 
 ``dpu.dot`` executes *groups*: N requests become one
 :meth:`repro.core.dpu.DotProductUnit.run_counts_batch` call, which runs
-small groups as per-request sealed runs and groups of at least
-``BATCH_CROSSOVER_LANES`` as N lanes of one batch-kernel dispatch; both
-are bit-identical to per-request scalar runs (the differential tests in
-``tests/serve`` and the verify oracle hold this line).  Model
+each request as its own sealed run, bit-identical to a per-request
+scalar run (the differential tests in ``tests/serve`` and the verify
+oracle hold this line).  Model
 ops (``fir.*``, ``pe.*``) evaluate per request — they are closed-form
 and cost microseconds, so lanes would buy nothing.
 
@@ -88,9 +87,8 @@ class ComputeEngine:
 
         All requests in a group share ``op`` and ``config`` (that is what
         a batch key means).  For ``dpu.dot`` the group is one
-        ``run_counts_batch`` call, which picks the sealed or the batch
-        kernel by group size; for model ops the group always has one
-        entry and evaluates directly.
+        ``run_counts_batch`` call, one sealed run per request; for model
+        ops the group always has one entry and evaluates directly.
         """
         if not operands_list:
             return []
@@ -120,7 +118,7 @@ class ComputeEngine:
         a_rows = [operands["a_slots"] for operands in operands_list]
         b_rows = [operands["b_counts"] for operands in operands_list]
         counts = unit.run_counts_batch(a_rows, b_rows)
-        return [{"count": int(count)} for count in counts]
+        return [{"count": count} for count in counts]
 
     def _run_fir(
         self, op: str, config: Dict[str, Any], operands: Dict[str, Any]

@@ -39,7 +39,7 @@ MAX_MATMUL_DIM = 32  #: PE-array matmul side length
 #: The ops this service understands, in documentation order.
 OPS = ("dpu.dot", "fir.unary", "fir.binary", "pe.mac", "pe.matmul")
 
-#: Ops whose requests coalesce onto lanes of one batch dispatch.
+#: Ops whose concurrent requests coalesce into one dispatched group.
 BATCHABLE_OPS = frozenset({"dpu.dot"})
 
 

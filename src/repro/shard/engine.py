@@ -53,6 +53,7 @@ from typing import (
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.parallel import ProcessActor, resolve_jobs
+from repro.pulsesim import kernel as sealed_kernel
 from repro.pulsesim.element import CellRole
 from repro.pulsesim.export import import_netlist, split_endpoint
 from repro.pulsesim.netlist import Circuit
@@ -250,6 +251,10 @@ class ShardSimulator:
         self._stimulus: List[List[Tuple[str, str, List[int]]]] = [
             [] for _ in range(plan.num_shards)
         ]
+        if self.jobs > 1:
+            # Load the native loop here, so that the forked workers inherit
+            # it instead of each importing the kernel and loading it again.
+            sealed_kernel._native_loop()
         self._hosts: List[_Host] = []
         for shard in range(plan.num_shards):
             piece = shard_description(description, plan, shard)

@@ -14,7 +14,7 @@ Usage::
 golden files can lock it).  ``check`` compiles each spec and then runs
 the full machine-checkable correctness story: the netlist linter, the
 abstract interpreter's merger-collision proofs, and a simulation of the
-compiled stimulus on both kernels decoded against the NumPy reference
+compiled stimulus on both kernels decoded against the reference
 evaluation of the spec.
 
 Exit codes: 0 — everything clean below the ``--fail-on`` severity;

@@ -1,4 +1,4 @@
-"""NumPy reference evaluation of a primitive dataflow graph.
+"""Reference evaluation of a primitive dataflow graph.
 
 This is the oracle side of the synth-differential check: it evaluates a
 :class:`~repro.synth.expand.PrimGraph` directly over *slot multisets* —
@@ -8,9 +8,9 @@ decode to exactly these values.
 
 Model (paper §3):
 
-* A pulse-stream value is a sorted multiset of slot indices; the decoded
-  level is its cardinality.  Literals use the same uniform placement as
-  the stimulus generator (``k * n_max // n``).
+* A pulse-stream value is a sorted multiset of slot indices (a sorted
+  list); the decoded level is its cardinality.  Literals use the same
+  uniform placement as the stimulus generator (``k * n_max // n``).
 * An RL value is a single slot index (the value itself).
 * ``mul`` keeps the stream ticks in slots strictly below the RL slot
   (the NDRO passes clk pulses between ``set`` and ``reset``); the
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from repro.core.multiplier import unipolar_product_count
 from repro.synth.expand import PrimGraph
@@ -39,21 +37,19 @@ class OutputValue:
     ticks: Tuple[int, ...]
 
 
-def uniform_slots(level: int, n_max: int) -> np.ndarray:
+def uniform_slots(level: int, n_max: int) -> List[int]:
     """Slot indices of a uniformly spread ``level``-pulse stream literal.
 
     Mirrors :func:`repro.pulsesim.schedule.uniform_stream_times` with
     ``slot_fs = 1`` and ``start = 0``.
     """
-    if level == 0:
-        return np.empty(0, dtype=np.int64)
-    return (np.arange(level, dtype=np.int64) * n_max) // level
+    return [k * n_max // level for k in range(level)]
 
 
 def evaluate(graph: PrimGraph) -> Dict[str, OutputValue]:
     """Evaluate all public outputs of ``graph``; keyed by value ref."""
     n_max = graph.n_max
-    streams: Dict[str, np.ndarray] = {}
+    streams: Dict[str, List[int]] = {}
     levels: Dict[str, int] = {}
 
     for node in graph.nodes.values():
@@ -62,18 +58,21 @@ def evaluate(graph: PrimGraph) -> Dict[str, OutputValue]:
         elif node.op == "rconst":
             levels[node.id] = node.level
         elif node.op == "add":
-            lanes: List[np.ndarray] = [streams[ref] for ref in node.args]
-            streams[node.id] = np.sort(np.concatenate(lanes))
+            streams[node.id] = sorted(
+                tick for ref in node.args for tick in streams[ref]
+            )
         elif node.op == "mul":
             ticks = streams[node.args[0]]
             slot = levels[node.args[1]]
-            streams[node.id] = ticks[ticks < slot]
+            streams[node.id] = [tick for tick in ticks if tick < slot]
         elif node.op == "delay":
             ref = node.args[0]
             if ref in levels:
                 levels[node.id] = levels[ref] + node.slots
             else:
-                streams[node.id] = streams[ref] + node.slots
+                streams[node.id] = [
+                    tick + node.slots for tick in streams[ref]
+                ]
         else:  # pragma: no cover - expand emits only PRIM_OPS
             raise AssertionError(f"unknown primitive op {node.op!r}")
 
@@ -88,8 +87,8 @@ def evaluate(graph: PrimGraph) -> Dict[str, OutputValue]:
             results[ref] = OutputValue(
                 ref=ref,
                 encoding="stream",
-                level=int(ticks.size),
-                ticks=tuple(int(t) for t in ticks),
+                level=len(ticks),
+                ticks=tuple(ticks),
             )
     return results
 
@@ -115,7 +114,7 @@ def check_product_model(graph: PrimGraph) -> None:
         if stream.op != "sconst" or rl.op != "rconst":
             continue
         ticks = uniform_slots(stream.level, n_max)
-        got = int((ticks < rl.level).sum())
+        got = sum(1 for tick in ticks if tick < rl.level)
         want = unipolar_product_count(stream.level, rl.level, n_max)
         if got != want:
             raise AssertionError(

@@ -553,7 +553,7 @@ def oracle_shard_differential(spec: NetlistSpec) -> OracleResult:
 
 def oracle_synth_differential(spec: NetlistSpec) -> OracleResult:
     """The synthesis frontend compiles a random dataflow spec to a
-    lint-clean netlist whose simulation decodes to the NumPy reference
+    lint-clean netlist whose simulation decodes to the reference
     evaluation of the spec.
 
     The dataflow spec is derived deterministically from the netlist

@@ -51,7 +51,9 @@ def _library_cells(root=Element):
 
 
 def test_only_the_untabled_cells_keep_their_own_handle():
-    assert repro.cells and repro.core and repro.pulsesim.faults  # loaded
+    # repro.core re-exports lazily: resolve every name to load each cell.
+    assert all(getattr(repro.core, name) for name in repro.core.__all__)
+    assert repro.cells and repro.pulsesim.faults  # loaded
     own_handle = {
         cls.__name__ for cls in _library_cells()
         if cls.handle is not TableCell.handle

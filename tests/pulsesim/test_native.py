@@ -126,6 +126,32 @@ def test_two_processes_building_into_an_empty_cache_both_load(tmp_path):
 
 
 @live
+def test_a_new_build_deletes_the_build_it_supersedes(tmp_path):
+    """An edited source builds beside the old module, which then goes; a
+    concurrent build's partial and another interpreter's module stay."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    foreign = cache / "_sealed.0123456789abcdef.cpython-0-foreign.so"
+    partial = cache / f"._sealed.0123456789abcdef{suffix}.x1y2.tmp"
+    assert not foreign.name.endswith(suffix)
+    foreign.write_bytes(b"")
+    partial.write_bytes(b"")
+    sources = []
+    for version in (1, 2):
+        source = tmp_path / f"v{version}.c"
+        source.write_text(f"int sealed_version = {version};\n")
+        sources.append(source)
+    old = native.build(cache, sources[0])
+    assert old.exists()
+    new = native.build(cache, sources[1])
+    assert new != old
+    assert sorted(path.name for path in cache.iterdir()) == sorted(
+        [new.name, foreign.name, partial.name]
+    )
+
+
+@live
 def test_times_beyond_int64_raise_simulation_error():
     circuit = Circuit("far")
     a = circuit.add(Jtl("a"))

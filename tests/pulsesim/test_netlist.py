@@ -55,7 +55,7 @@ def test_connect_rejects_foreign_elements():
 def test_circuits_die_on_del_without_the_cycle_collector():
     """Cells point back at their circuit only weakly: a compiled, linted,
     analyzed and simulated synth program, a DPU after sealed and batch
-    runs, and a sealed circuit whose fault channel runs on the generic
+    runs on its circuit, and a sealed circuit whose fault channel runs on the generic
     call opcode are freed by reference counting alone."""
     from pathlib import Path
 
@@ -63,6 +63,7 @@ def test_circuits_die_on_del_without_the_cycle_collector():
     from repro.encoding.epoch import EpochSpec
     from repro.pulsesim import DropChannel
     from repro.synth.api import analyze_program, compile_json, lint_program
+    from tests.strategies import dpu_batch_counts
 
     spec = Path(__file__).parents[2] / "examples" / "specs" / "elementwise.json"
     gc.disable()
@@ -73,7 +74,7 @@ def test_circuits_die_on_del_without_the_cycle_collector():
         program.simulate()
         dpu = DotProductUnit(EpochSpec(bits=5), 8, bipolar=True)
         dpu.run_counts([1] * 8, [2] * 8)
-        dpu._run_counts_batch_kernel([[1] * 8] * 2, [[2] * 8] * 2)
+        dpu_batch_counts(dpu, [[1] * 8] * 2, [[2] * 8] * 2)
         lossy = Circuit("lossy")
         head, channel, tail = (
             lossy.add(Jtl("head")),

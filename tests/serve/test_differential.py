@@ -1,14 +1,15 @@
 """The serving differential: coalesced == solo == scalar, byte for byte.
 
-Acceptance property from the issue: a coalesced batch of N distinct
-requests must produce responses **byte-identical** to N sequential
-single-request runs.  Three independent witnesses:
+A coalesced batch of N distinct requests must produce responses
+**byte-identical** to N sequential single-request runs.  Four
+independent witnesses:
 
-* a coalescing server under concurrent load, whose group reaches
-  ``BATCH_CROSSOVER_LANES`` lanes and so runs on the batch kernel,
+* a coalescing server under concurrent load, whose requests coalesce
+  into one group,
 * a non-coalescing server (max_batch=1) taking the same requests
-  serially, each a one-row group on the sealed kernel,
-* direct scalar ``DotProductUnit.run_counts`` ground truth.
+  serially, each a one-row group,
+* direct scalar ``DotProductUnit.run_counts`` ground truth,
+* the same rows as lanes of one batch-kernel dispatch on the DPU circuit.
 """
 
 import random
@@ -16,9 +17,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.dpu import BATCH_CROSSOVER_LANES, DotProductUnit
+from repro.core.dpu import DotProductUnit
 from repro.encoding.epoch import EpochSpec
 from repro.serve import ServeConfig, start_server_thread
+from tests.strategies import dpu_batch_counts
 
 _BITS, _LENGTH = 3, 2
 _CONFIG = {"bits": _BITS, "slot_fs": 40_000, "length": _LENGTH}
@@ -46,7 +48,7 @@ def _wait_for(condition, timeout=60.0):
 
 
 def test_coalesced_batch_is_byte_identical_to_sequential_singles():
-    requests = _requests(BATCH_CROSSOVER_LANES)
+    requests = _requests(48)
     blocker = _requests(1, seed=1)[0]
 
     # Witness 1: concurrent clients against a coalescing server.  The
@@ -78,8 +80,7 @@ def test_coalesced_batch_is_byte_identical_to_sequential_singles():
             blocked.result()
             batched_bodies = [future.result() for future in batched]
         snapshot = service.metrics.to_dict()
-    # Beside the blocker, all requests coalesced into one group large
-    # enough for the batch kernel.
+    # Beside the blocker, all requests coalesced into one group.
     assert snapshot["counters"]["serve_batches_total"] == 2
     lanes = snapshot["histograms"]["serve_batch_lanes"]
     assert lanes["max"] == len(requests)
@@ -96,12 +97,16 @@ def test_coalesced_batch_is_byte_identical_to_sequential_singles():
 
     # Witness 3: scalar ground truth straight from the structural DPU.
     unit = DotProductUnit(EpochSpec(bits=_BITS, slot_fs=40_000), _LENGTH)
-    for payload, body in zip(requests, solo_bodies):
-        expected = unit.run_counts(payload["a_slots"], payload["b_counts"])
-        assert (
-            body
-            == b'{"ok":true,"op":"dpu.dot","result":{"count":%d}}' % expected
-        )
+    a_rows = [payload["a_slots"] for payload in requests]
+    b_rows = [payload["b_counts"] for payload in requests]
+    expected = [unit.run_counts(a, b) for a, b in zip(a_rows, b_rows)]
+    assert solo_bodies == [
+        b'{"ok":true,"op":"dpu.dot","result":{"count":%d}}' % count
+        for count in expected
+    ]
+
+    # Witness 4: the same rows as lanes of one batch-kernel dispatch.
+    assert dpu_batch_counts(unit, a_rows, b_rows) == expected
 
 
 def test_cached_response_is_the_same_byte_string_as_the_cold_one():

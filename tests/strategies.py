@@ -229,6 +229,40 @@ def run_case_batch(build, stimulus, batch=BATCH_LANES):
     return lanes
 
 
+def dpu_batch_counts(dpu, a_rows, b_rows):
+    """A DPU's operand rows as lanes of one batch-kernel dispatch on its
+    circuit: row ``i``'s count, as ``dpu.run_counts(a_rows[i], b_rows[i])``
+    gives it, sits in lane ``i``."""
+    from repro.core.multiplier import SETUP_FS
+    from repro.pulsesim.batch import BatchSimulator
+
+    epoch, block = dpu.epoch, dpu.block
+
+    def stream(count):
+        return [SETUP_FS + t for t in dpu.streams.times_for_count(count)]
+
+    sim = BatchSimulator(dpu.circuit, batch=len(a_rows))
+    for lane in range(dpu.length):
+        sim.schedule_train(*block.input(f"epoch{lane}"), [0])
+        sim.schedule_lane_trains(
+            *block.input(f"b{lane}"), [stream(row[lane]) for row in b_rows]
+        )
+        if dpu.bipolar:
+            sim.schedule_train(
+                *block.input(f"refclk{lane}"), stream(epoch.n_max)
+            )
+        sim.schedule_lane_trains(
+            *block.input(f"a{lane}"),
+            [
+                [SETUP_FS + epoch.slot_time(row[lane])]
+                if row[lane] < epoch.n_max else []
+                for row in a_rows
+            ],
+        )
+    sim.run()
+    return sim.port_counts(*block.output("y")).tolist()
+
+
 @st.composite
 def codec_cases(draw):
     """``(EpochSpec, value, epoch_index)`` for codec round-trip properties.
