@@ -8,6 +8,9 @@ wide column fabric (8 deep JTL columns into a merger reduction tree)
 monolithically and at K in {1, 2, 4, 8} with one worker process per
 shard, so ``check_regression.py`` can derive the wall-clock speedup from
 the run JSON (``--min-shard-speedup``, default 2.5x at K=4).
+``test_wide_fabric_uncut`` times the same fabric without links on one
+sealed kernel, the alternative a sharded run has to beat; no gate pairs
+it.
 
 The gate is CPU-aware: every benchmark records ``os.cpu_count()`` in
 ``extra_info["cpus"]``, and the checker only enforces the floor for K
@@ -104,6 +107,26 @@ def _run_mono():
     for head, times in zip(heads, _TRAINS):
         sim.schedule_train(noc_circuit[head.name], "a", times)
     return sim.run()
+
+
+def _run_uncut():
+    """The best alternative to sharding: the same fabric without links on
+    one sealed kernel, from construction to recordings."""
+    circuit, heads, probe = _build_wide_fabric()
+    sim = Simulator(circuit, kernel="sealed")
+    for head, times in zip(heads, _TRAINS):
+        sim.schedule_train(head, "a", times)
+    stats = sim.run()
+    return stats, list(probe.times)
+
+
+def test_wide_fabric_uncut(benchmark):
+    """The un-cut fabric on one sealed kernel: the yardstick a sharded run
+    has to beat.  Its name matches no gate's pattern, so no gate pairs it."""
+    stats, _times = benchmark.pedantic(_run_uncut, rounds=1, iterations=1)
+    assert stats.events_processed > 1_000_000
+    benchmark.extra_info["events"] = stats.events_processed
+    benchmark.extra_info["cpus"] = os.cpu_count() or 1
 
 
 def test_wide_fabric_shard_mono(benchmark):

@@ -26,11 +26,17 @@ Same-time arrivals are order-insensitive by construction: the multiset
 of departures (and the drop count) does not depend on the processing
 order of equal-timestamp inputs, which is what lets the shard engine
 guarantee bit-identical probed outputs against a monolithic run.
+
+The rule is one pure method, :meth:`NocLink.depart`: the kernels reach it
+through :meth:`NocLink.handle`, and the shard engine calls it directly
+on the arrivals it taps off each cut, so a sharded run needs no link
+cell in any kernel.
 """
 
 from __future__ import annotations
 
-from typing import List
+from bisect import bisect_right
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.models import technology as tech
@@ -103,23 +109,28 @@ class NocLink(Element):
         """The conservative-sync lookahead this link contributes."""
         return self.delay
 
-    def handle(self, sim, port, time):
+    def depart(self, time: int) -> Optional[int]:
+        """Admit one flit arriving at ``time``: its ejection time, or None
+        when the FIFO is full and the flit is dropped (and counted).
+
+        Arrivals must come in time order; equal times in any order.
+        """
         departures = self._departures
-        if departures:
-            # Flits whose ejection time has passed have left the link.
-            live = 0
-            while live < len(departures) and departures[live] <= time:
-                live += 1
-            if live:
-                del departures[:live]
+        # Flits whose ejection time has passed have left the link.
+        del departures[:bisect_right(departures, time)]
         if len(departures) >= self.fifo_depth:
             self.drops += 1
-            return
+            return None
         depart = time + self.delay
         if departures and departures[-1] + self.serialization_fs > depart:
             depart = departures[-1] + self.serialization_fs
         departures.append(depart)
-        self.emit(sim, "q", depart)
+        return depart
+
+    def handle(self, sim, port, time):
+        depart = self.depart(time)
+        if depart is not None:
+            self.emit(sim, "q", depart)
 
     def reset(self):
         self.drops = 0

@@ -22,6 +22,7 @@ physical:
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
@@ -160,13 +161,8 @@ class Element:
         override this method.  Raises :class:`~repro.errors.NetlistError`
         when a parameter cannot be recovered.
         """
-        signature = inspect.signature(type(self).__init__)
         params: Dict[str, object] = {}
-        for pname, parameter in signature.parameters.items():
-            if pname in ("self", "name"):
-                continue
-            if parameter.kind in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD):
-                continue
+        for pname in _constructor_params(type(self)):
             if not hasattr(self, pname):
                 raise NetlistError(
                     f"{self!r} does not store constructor parameter {pname!r} "
@@ -199,6 +195,19 @@ class Element:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+@functools.lru_cache(maxsize=None)
+def _constructor_params(cls: type) -> Tuple[str, ...]:
+    """Names of ``cls.__init__``'s named parameters after ``name``, read
+    once per class (:meth:`Element.params` runs once per exported cell)."""
+    signature = inspect.signature(cls.__init__)
+    return tuple(
+        pname
+        for pname, parameter in signature.parameters.items()
+        if pname not in ("self", "name")
+        and parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+    )
 
 
 #: One transition-table row: ``(next_state, output ports pulsed)``, or

@@ -19,12 +19,17 @@ with a windowed Chandy–Misra–Bryant scheme:
   horizon broadcast *is* the null message: one implicit "nothing earlier
   is coming" promise per shard per window.
 
-Cross-shard pulses are observed on each link's output by a private
-boundary recorder, shipped to the coordinator with the window result, and
-re-injected into the destination shard (original wire delay applied)
-before its next window.  Because every link's minimum latency exceeds the
-window width, injections always land strictly after the horizon already
-simulated — the destination kernel never rewinds.
+The NoC links live beside the shard kernels, not in them.  A private
+boundary recorder taps each cut's source port; after each window the
+source worker runs each link's departure rule
+(:meth:`~repro.cells.noc.NocLink.depart`) over the arrivals up to the
+horizon and ships one departure list per link with the window result.
+The coordinator re-injects each list into the destination shard as one
+train (original wire delay applied) before its next window.  Because
+every link's minimum latency exceeds the window width, injections always
+land strictly after the horizon already simulated — the destination
+kernel never rewinds.  No shard kernel holds a link cell, so a shard of
+table cells keeps the sealed kernel's monotonic fast path.
 
 On all probed ports the partitioned run is bit-identical to a monolithic
 run of the same NoC-augmented circuit (the ``shard-differential`` oracle
@@ -39,6 +44,7 @@ processes, bit-identical results) — the cheap mode property tests use.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from time import perf_counter
 from typing import (
     AbstractSet,
@@ -51,11 +57,12 @@ from typing import (
     Union,
 )
 
+from repro.cells.noc import NocLink
 from repro.errors import ConfigurationError, SimulationError
 from repro.parallel import ProcessActor, resolve_jobs
 from repro.pulsesim import kernel as sealed_kernel
 from repro.pulsesim.element import CellRole
-from repro.pulsesim.export import import_netlist, split_endpoint
+from repro.pulsesim.export import import_netlist
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.probe import PulseRecorder
 from repro.pulsesim.simulator import (
@@ -68,6 +75,7 @@ from repro.shard.partition import (
     CutWire,
     ShardPlan,
     build_noc_description,
+    planned_endpoint,
     shard_description,
 )
 
@@ -80,6 +88,23 @@ def _freeze(value: Any) -> Any:
     return tuple(sorted(value.items())) if isinstance(value, dict) else value
 
 
+class _OutLink:
+    """A cut's NoC link, run beside its source shard's kernel."""
+
+    __slots__ = ("link", "tapped", "read", "pending")
+
+    def __init__(self, link: NocLink, tapped: List[int]):
+        self.link = link
+        #: The times a boundary recorder taps off the cut's source port,
+        #: the link's arrival times (the ``source -> link.a`` wire has no
+        #: delay); several cuts from one port share the list.
+        self.tapped = tapped
+        #: How many tapped times this link has taken into ``pending``.
+        self.read = 0
+        #: Taken arrivals not yet past a horizon, in time order.
+        self.pending: List[int] = []
+
+
 class _ShardHost:
     """One shard's kernel, living wherever the coordinator put it.
 
@@ -87,23 +112,55 @@ class _ShardHost:
     process (or by :class:`_LocalHost` in-process); serves the command
     protocol the coordinator speaks: ``stimulus``, ``advance``,
     ``finish``, ``state``.
+
+    The NoC links of the cuts leaving this shard live beside the kernel,
+    not in it: the circuit is built without the link cells and their
+    ``source -> link.a`` wires (whose delay is always 0), a private
+    recorder taps each cut's source port, and after every window each
+    link's departure rule (:meth:`~repro.cells.noc.NocLink.depart`) runs
+    over the tapped arrivals up to the horizon, in time order; later
+    arrivals carry over to the next window.  Each processed arrival
+    counts as one event and each departure as one pulse, so merged totals
+    still equal a monolithic run of the NoC circuit; link arrivals do not
+    count against a window's ``max_events``.
     """
 
     def __init__(
         self,
         description: Dict[str, Any],
-        boundary_links: Sequence[str],
+        links: Sequence[Tuple[str, str]],
         kernel: Optional[str] = None,
         max_events: int = 50_000_000,
     ):
-        self.circuit = import_netlist(description)
-        self._boundary: Dict[str, PulseRecorder] = {}
-        self._consumed: Dict[str, int] = {}
-        for link in boundary_links:
-            recorder = PulseRecorder(BOUNDARY_PREFIX + link)
-            self.circuit.probe(self.circuit[link], "q", probe=recorder)
-            self._boundary[link] = recorder
-            self._consumed[link] = 0
+        names = {cell["name"] for cell in description["cells"]}
+        noc = {name for name, _source in links}
+        params = {
+            cell["name"]: cell["params"]
+            for cell in description["cells"]
+            if cell["name"] in noc
+        }
+        self.circuit = import_netlist(dict(
+            description,
+            cells=[c for c in description["cells"] if c["name"] not in noc],
+            wires=[
+                w for w in description["wires"]
+                if planned_endpoint(w["to"], names)[0] not in noc
+            ],
+        ))
+        taps: Dict[str, List[int]] = {}
+        self._links: List[_OutLink] = []
+        for name, source in links:
+            if source not in taps:
+                cell, port = planned_endpoint(source, self.circuit._names)
+                recorder = PulseRecorder(BOUNDARY_PREFIX + source)
+                self.circuit.probe(self.circuit[cell], port, probe=recorder)
+                taps[source] = recorder.times
+            self._links.append(
+                _OutLink(NocLink(name, **params[name]), taps[source])
+            )
+        self._link_events = 0
+        self._link_pulses = 0
+        self._link_now = 0
         self.circuit.seal()
         self.sim = Simulator(self.circuit, max_events=max_events, kernel=kernel)
 
@@ -118,19 +175,33 @@ class _ShardHost:
         return self.sim._next_event_time()
 
     def _cmd_advance(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        for cell, port, time in payload["inject"]:
-            self.sim.schedule_input(self.circuit[cell], port, time)
+        for cell, port, times in payload["inject"]:
+            self.sim.schedule_train(self.circuit[cell], port, times)
+        until = payload["until"]
         # Windows stay out of any enclosing capture_stats() collector; the
         # coordinator feeds the merged totals once after the run.
         with quiet_stats():
-            self.sim.run(until=payload["until"])
-        emissions: Dict[str, List[int]] = {}
-        for link, recorder in self._boundary.items():
-            consumed = self._consumed[link]
-            if len(recorder.times) > consumed:
-                emissions[link] = list(recorder.times[consumed:])
-                self._consumed[link] = len(recorder.times)
-        return {"next": self.sim._next_event_time(), "emissions": emissions}
+            self.sim.run(until=until)
+        nxt = self.sim._next_event_time()
+        departures: Dict[str, List[int]] = {}
+        for cut in self._links:
+            pending = cut.pending
+            if len(cut.tapped) > cut.read:
+                pending += cut.tapped[cut.read:]
+                pending.sort()  # a cell may emit ahead of its input, or out of order
+                cut.read = len(cut.tapped)
+            due = bisect_right(pending, until)  # links imply a bounded horizon
+            if due:
+                out = [t for t in map(cut.link.depart, pending[:due]) if t is not None]
+                self._link_events += due
+                self._link_pulses += len(out)
+                self._link_now = max(self._link_now, pending[due - 1])
+                del pending[:due]
+                if out:
+                    departures[cut.link.name] = out
+            if pending and (nxt is None or pending[0] < nxt):
+                nxt = pending[0]
+        return {"next": nxt, "departures": departures}
 
     def _cmd_finish(self, payload: Any) -> Dict[str, Any]:
         stats = self.sim.stats
@@ -142,28 +213,35 @@ class _ShardHost:
                 if times is None or label.startswith(BOUNDARY_PREFIX):
                     continue
                 recordings[label] = list(times)
-        drops = {
-            element.name: int(getattr(element, "drops", 0))
+        links = [
+            element
             for element in self.circuit.elements
             if CellRole.NOC in getattr(element, "ROLES", frozenset())
+        ]
+        links.extend(cut.link for cut in self._links)
+        drops = {
+            link.name: int(getattr(link, "drops", 0))
+            for link in sorted(links, key=lambda link: link.name)
         }
         return {
             "recordings": recordings,
-            "events": stats.events_processed,
-            "pulses": stats.pulses_emitted,
+            "events": stats.events_processed + self._link_events,
+            "pulses": stats.pulses_emitted + self._link_pulses,
             "max_queue_depth": stats.max_queue_depth,
             "wall_s": stats.wall_s,
-            "now": self.sim.now,
+            "now": max(self.sim.now, self._link_now),
             "drops": drops,
         }
 
     def _cmd_state(self, payload: Sequence[str]) -> Dict[str, tuple]:
         attrs = tuple(payload)
+        elements = list(self.circuit.elements)
+        elements.extend(cut.link for cut in self._links)
         return {
             element.name: tuple(
                 _freeze(getattr(element, attr, None)) for attr in attrs
             )
-            for element in self.circuit.elements
+            for element in elements
         }
 
 
@@ -210,7 +288,9 @@ class ShardSimulator:
             same algorithm runs in-process.
         kernel: Per-shard kernel choice, as for
             :class:`~repro.pulsesim.simulator.Simulator`.
-        max_events: Per-window event budget for each shard kernel.
+        max_events: Per-window event budget for each shard kernel.  The
+            NoC links run beside the kernels, so their arrivals do not
+            count against it.
 
     The engine is single-shot: build, optionally ``schedule_input`` /
     ``schedule_train``, ``run()`` once, then read ``stats`` /
@@ -237,17 +317,12 @@ class ShardSimulator:
         self._cut_by_link: Dict[str, CutWire] = {}
         self._sink_of: Dict[str, Tuple[str, str]] = {}
         cell_names = frozenset(plan.assignment)
-        boundary: List[List[str]] = [[] for _ in range(plan.num_shards)]
+        links: List[List[Tuple[str, str]]] = [[] for _ in range(plan.num_shards)]
         for cut in plan.cuts:
             self._owner[cut.link] = cut.source_shard
             self._cut_by_link[cut.link] = cut
-            sink = split_endpoint(cut.sink, cell_names)
-            if sink is None:
-                raise ConfigurationError(
-                    f"endpoint {cut.sink!r} does not name a known cell"
-                )
-            self._sink_of[cut.link] = sink
-            boundary[cut.source_shard].append(cut.link)
+            self._sink_of[cut.link] = planned_endpoint(cut.sink, cell_names)
+            links[cut.source_shard].append((cut.link, cut.source))
         self._stimulus: List[List[Tuple[str, str, List[int]]]] = [
             [] for _ in range(plan.num_shards)
         ]
@@ -261,13 +336,13 @@ class ShardSimulator:
             if self.jobs > 1:
                 self._hosts.append(
                     ProcessActor(
-                        _ShardHost, piece, boundary[shard], kernel, max_events
+                        _ShardHost, piece, links[shard], kernel, max_events
                     )
                 )
             else:
                 self._hosts.append(
                     _LocalHost(
-                        _ShardHost(piece, boundary[shard], kernel, max_events)
+                        _ShardHost(piece, links[shard], kernel, max_events)
                     )
                 )
         self._ran = False
@@ -339,11 +414,15 @@ class ShardSimulator:
         shards = self.plan.num_shards
         lookahead = self.plan.lookahead_fs
         nexts: List[Optional[int]] = self._broadcast("stimulus", self._stimulus)
-        pending: List[List[Tuple[str, str, int]]] = [[] for _ in range(shards)]
+        # Per sink shard, one ``(cell, port, times)`` train per link that
+        # departed, in reply order and link order.
+        pending: List[List[Tuple[str, str, List[int]]]] = [
+            [] for _ in range(shards)
+        ]
         while True:
             candidates = [time for time in nexts if time is not None]
             candidates.extend(
-                time for batch in pending for (_c, _p, time) in batch
+                times[0] for batch in pending for (_c, _p, times) in batch
             )
             if not candidates:
                 break
@@ -363,11 +442,12 @@ class ShardSimulator:
             self.windows += 1
             for k, reply in enumerate(self._broadcast("advance", payloads)):
                 nexts[k] = reply["next"]
-                for link, times in reply["emissions"].items():
+                for link, times in reply["departures"].items():
                     cut = self._cut_by_link[link]
                     cell, port = self._sink_of[link]
-                    pending[cut.sink_shard].extend(
-                        (cell, port, time + cut.delay_fs) for time in times
+                    delay = cut.delay_fs
+                    pending[cut.sink_shard].append(
+                        (cell, port, [time + delay for time in times])
                     )
         finals = self._broadcast("finish")
         merged = SimulationStats()

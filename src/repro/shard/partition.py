@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 from typing import (
     AbstractSet,
     Any,
+    Container,
     Dict,
     List,
     Mapping,
@@ -37,10 +38,12 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError
+from repro.cells.noc import NocLink
+from repro.errors import ConfigurationError, NetlistError
 from repro.models import technology as tech
 from repro.pulsesim.element import Element
 from repro.pulsesim.export import (
+    default_cell_registry,
     import_netlist,
     netlist_description,
     split_endpoint,
@@ -49,6 +52,9 @@ from repro.pulsesim.netlist import Circuit, Wire
 
 #: Stand-in weight for wires whose static pulse bound is unbounded.
 _INF_TRAFFIC = 1_000_000
+
+#: Probe types :func:`~repro.pulsesim.export.import_netlist` reattaches.
+_RECORDERS = frozenset({"PulseRecorder", "WaveformProbe"})
 
 
 @dataclass(frozen=True)
@@ -337,6 +343,18 @@ def _sorted_wire_list(circuit: Circuit) -> List[Wire]:
     return wires
 
 
+def planned_endpoint(endpoint: str, names: Container[str]) -> Tuple[str, str]:
+    """``(cell, port)`` of a ``"cell.port"`` endpoint whose cell is in
+    ``names`` (:func:`~repro.pulsesim.export.split_endpoint`, raising
+    :class:`~repro.errors.ConfigurationError` when no cell matches)."""
+    split = split_endpoint(endpoint, names)
+    if split is None:
+        raise ConfigurationError(
+            f"endpoint {endpoint!r} does not name a planned cell"
+        )
+    return split
+
+
 def _fresh_name(base: str, taken: AbstractSet[str]) -> str:
     name = base
     while name in taken:
@@ -442,19 +460,20 @@ def _raw_noc_description(circuit: Circuit, plan: ShardPlan) -> Dict[str, Any]:
                       "delay_fs": cut.delay_fs})
     cells = list(description["cells"])
     for cut in plan.cuts:
+        params = {
+            "serialization_fs": plan.link.serialization_fs,
+            "hops": cut.hops,
+            "hop_latency_fs": plan.link.hop_latency_fs,
+            "fifo_depth": plan.link.fifo_depth,
+        }
         cells.append(
             {
                 "name": cut.link,
                 "type": "NocLink",
-                "jj_count": 0,  # recomputed by the constructor on import
+                "jj_count": NocLink(cut.link, **params).jj_count,
                 "inputs": ["a"],
                 "outputs": ["q"],
-                "params": {
-                    "serialization_fs": plan.link.serialization_fs,
-                    "hops": cut.hops,
-                    "hop_latency_fs": plan.link.hop_latency_fs,
-                    "fifo_depth": plan.link.fifo_depth,
-                },
+                "params": params,
             }
         )
     description["cells"] = cells
@@ -475,11 +494,51 @@ def build_noc_circuit(circuit: Circuit, plan: ShardPlan) -> Circuit:
 def build_noc_description(circuit: Circuit, plan: ShardPlan) -> Dict[str, Any]:
     """The NoC-augmented netlist as a canonical exported description.
 
-    Produced by re-exporting the materialised circuit, so ordering and
-    totals are exactly :func:`~repro.pulsesim.export.netlist_description`
-    canonical (byte-stable under re-import).
+    Equal to :func:`~repro.pulsesim.export.netlist_description` of
+    :func:`build_noc_circuit`'s circuit, key order included, but built
+    without materialising it: cells sort by name, wires by (source,
+    source port, sink, sink port, delay) with each endpoint split at its
+    cell name, and probes keep the original circuit's export order.
+    Raises :class:`~repro.errors.NetlistError` for what
+    :func:`~repro.pulsesim.export.import_netlist` could not rebuild — a
+    cell type it does not know, a cell exported without ``params``, a
+    probe that is not a recorder — so a sharded run refuses it before
+    any worker starts.
     """
-    return netlist_description(build_noc_circuit(circuit, plan))
+    raw = _raw_noc_description(circuit, plan)
+    registry = default_cell_registry()
+    for cell in raw["cells"]:
+        if cell["type"] not in registry or "params" not in cell:
+            raise NetlistError(
+                f"cell {cell['name']!r} ({cell['type']}) cannot be rebuilt "
+                "from a netlist description, so it cannot be sharded"
+            )
+    for probe in raw["probes"]:
+        if probe["type"] not in _RECORDERS:
+            raise NetlistError(
+                f"probe on {probe['port']} is a {probe['type']}, not a "
+                "recorder, so it cannot be sharded"
+            )
+    cells = sorted(raw["cells"], key=lambda cell: cell["name"])
+    names = {cell["name"] for cell in cells}
+
+    def wire_key(wire: Dict[str, Any]) -> tuple:
+        source = planned_endpoint(wire["from"], names)
+        sink = planned_endpoint(wire["to"], names)
+        return (*source, *sink, wire["delay_fs"])
+
+    wires = sorted(raw["wires"], key=wire_key)
+    probes = raw["probes"]
+    return {
+        "name": raw["name"],
+        "cells": cells,
+        "wires": wires,
+        "probes": probes,
+        "cell_count": len(cells),
+        "wire_count": len(wires),
+        "probe_count": len(probes),
+        "jj_count": sum(cell["jj_count"] for cell in cells),
+    }
 
 
 def shard_description(
@@ -503,12 +562,7 @@ def shard_description(
     mine = {name for name, owner in owners.items() if owner == shard}
 
     def cell_name(endpoint: str) -> str:
-        split = split_endpoint(endpoint, owners)
-        if split is None:
-            raise ConfigurationError(
-                f"endpoint {endpoint!r} does not name a planned cell"
-            )
-        return split[0]
+        return planned_endpoint(endpoint, owners)[0]
 
     cells = [c for c in noc_description["cells"] if c["name"] in mine]
     wires = [

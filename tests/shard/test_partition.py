@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.lint.blocks import build_shipped_block
+from repro.cells.interconnect import Jtl
+from repro.core.pnm import BurstPnm
+from repro.errors import ConfigurationError, NetlistError
+from repro.lint.blocks import SHIPPED_BLOCKS, build_shipped_block
+from repro.pulsesim import Circuit
 from repro.pulsesim.export import import_netlist, netlist_description
 from repro.shard.partition import (
     LinkSpec,
@@ -15,6 +18,7 @@ from repro.shard.partition import (
     plan_partition,
     shard_description,
 )
+from tests.shard.fabric import WIDE_LINK, wide_fabric
 
 
 def _pnm():
@@ -116,13 +120,67 @@ def test_invalid_shard_counts_are_rejected(bad):
         plan_partition(built.circuit, bad)
 
 
+def _planned(name, num_shards):
+    """A shipped block (outputs probed) or perfbench's wide fabric, cut."""
+    if name == "wide-fabric":
+        circuit, heads = wide_fabric()
+        entries = [(head, "a") for head in heads]
+        return circuit, plan_partition(
+            circuit, num_shards, link=WIDE_LINK, entry_points=entries
+        )
+    built = build_shipped_block(name)
+    for element, port in built.observed_outputs:
+        if not built.circuit._taps.get((id(element), port)):
+            built.circuit.probe(element, port)
+    return built.circuit, plan_partition(
+        built.circuit, num_shards, entry_points=built.entry_points
+    )
+
+
 def test_noc_description_is_canonical_and_importable():
-    built, plan = _plan(num_shards=2)
-    description = build_noc_description(built.circuit, plan)
-    # Canonical: importing and re-exporting is byte-stable.
-    assert netlist_description(import_netlist(description)) == description
-    kinds = [cell["type"] for cell in description["cells"]]
-    assert kinds.count("NocLink") == len(plan.cuts)
+    for name in sorted(SHIPPED_BLOCKS) + ["wide-fabric"]:
+        for num_shards in (2, 3):  # every shipped block has >= 3 cells
+            circuit, plan = _planned(name, num_shards)
+            description = build_noc_description(circuit, plan)
+            # Built directly, it is the export of the materialised NoC
+            # circuit, down to key order.
+            exported = netlist_description(build_noc_circuit(circuit, plan))
+            assert description == exported, (name, num_shards)
+            assert json.dumps(description) == json.dumps(exported)
+            # Canonical: importing and re-exporting is byte-stable.
+            reimported = netlist_description(import_netlist(description))
+            assert reimported == description, (name, num_shards)
+            kinds = [cell["type"] for cell in description["cells"]]
+            assert kinds.count("NocLink") == len(plan.cuts)
+
+
+class _Counter:
+    """A probe that counts pulses: not a recorder a worker can rebuild."""
+
+    label = "count"
+
+    def __init__(self):
+        self.seen = 0
+
+    def record(self, time):
+        self.seen += 1
+
+
+def test_noc_description_refuses_what_a_worker_could_not_rebuild():
+    circuit = Circuit("custom")
+    pnm = circuit.add(BurstPnm("pnm", count=3, bits=2))
+    tail = circuit.add(Jtl("tail"))
+    circuit.connect(pnm, "out", tail, "a")
+    # BurstPnm is no cell type import_netlist knows.
+    with pytest.raises(NetlistError, match="'pnm'"):
+        build_noc_description(circuit, plan_partition(circuit, 2))
+    circuit = Circuit("probed")
+    head = circuit.add(Jtl("head"))
+    tail = circuit.add(Jtl("tail"))
+    circuit.connect(head, "q", tail, "a")
+    circuit.probe(tail, "q", probe=_Counter())
+    with pytest.raises(NetlistError, match="recorder"):
+        build_noc_description(circuit, plan_partition(circuit, 2))
 
 
 def test_noc_circuit_inserts_links_on_every_cut():
